@@ -3,7 +3,7 @@
 //! `O(|V|²|E|)` worst-case time, near-linear observed).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use minobswin::experiment::{Experiment, RunConfig};
+use minobswin::experiment::{self, RunConfig};
 use netlist::generator::GeneratorConfig;
 use ser_engine::sim::SimConfig;
 
@@ -24,7 +24,7 @@ fn bench_end_to_end(c: &mut Criterion) {
             threads: 1,
         });
         group.bench_with_input(BenchmarkId::from_parameter(gates), &circuit, |b, ckt| {
-            b.iter(|| Experiment::new(ckt).config(config.clone()).run().unwrap())
+            b.iter(|| experiment::run(ckt, &config).unwrap())
         });
     }
     group.finish();

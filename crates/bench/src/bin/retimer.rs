@@ -164,16 +164,15 @@ use faultsim::{
     advise, check_agreement, run_campaign, CampaignConfig, CrossCheck, HardenConfig,
     MonteCarloEstimator, ToleranceBands, DEFAULT_TOLERANCE,
 };
-use minobswin::experiment::{Experiment, MethodResult, RunConfig};
+use minobswin::experiment::{self, Evaluated, Method, RunConfig};
 use minobswin::{SolveBudget, SolveError};
-use netlist::{bench_format, blif, verilog, Circuit, DelayModel, NetlistError, ParseLimits};
-use retime::apply::apply_retiming;
+use netlist::{bench_format, blif, verilog, Circuit, NetlistError, ParseLimits};
 use retime::{ElwParams, RetimeGraph};
 use ser_engine::equiv::{check_equivalence, EquivConfig};
 use ser_engine::sim::SimConfig;
 use ser_engine::{
-    analyze, AnalyticEstimator, EngineKind, EstimateError, ExactEstimator, PropProbEstimator,
-    SerConfig, SerEstimate, SerEstimator, DEFAULT_MAX_SOURCE_BITS,
+    AnalyticEstimator, EngineKind, EstimateError, ExactEstimator, PropProbEstimator, SerConfig,
+    SerEstimate, SerEstimator, SerReport, DEFAULT_MAX_SOURCE_BITS,
 };
 
 /// A command-line failure: a usage error or a wrapped pipeline error,
@@ -426,22 +425,43 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
         .with_budget(budget)
         .with_checkpoint(options.checkpoint.as_ref().map(std::path::PathBuf::from))
         .with_resume(options.resume);
-    let run = Experiment::new(&circuit).config(config).run()?;
+    let prepared = experiment::prepare(&circuit, &config)?;
+    // One solve per method asked for; the CSV row needs both columns
+    // and their ratio.
+    let both = options.method == "both" || options.report.is_some();
+    let mut evaluated: Vec<(&str, Evaluated)> = Vec::new();
+    for method in [Method::MinObs, Method::MinObsWin] {
+        if both || options.method == method.name() {
+            let (solution, seconds) = experiment::solve(&prepared, &config, method, None)?;
+            let retimed = experiment::evaluate(&prepared, solution, seconds)?;
+            evaluated.push((method.name(), retimed));
+        }
+    }
 
     println!(
         "Phi = {} ({}), R_min = {}",
-        run.phi,
-        if run.used_setup_hold {
+        prepared.init.phi,
+        if prepared.init.used_setup_hold {
             "setup+hold init"
         } else {
             "min-period fallback"
         },
-        run.r_min
+        prepared.r_min
     );
-    println!("original : #FF {:>6}  SER {:.4e}", run.ff, run.ser_original);
-    let show = |label: &str, m: &MethodResult| {
+    println!(
+        "original : #FF {:>6}  SER {:.4e}",
+        circuit.num_registers(),
+        prepared.original.ser
+    );
+    // The methods the user asked for, MinObsWin last.
+    let shown: Vec<&(&str, Evaluated)> = evaluated
+        .iter()
+        .filter(|(name, _)| options.method == "both" || options.method == *name)
+        .collect();
+    for (name, retimed) in &shown {
+        let m = &retimed.result;
         println!(
-            "{label}: #FF {:>6}  SER {:.4e}  (dSER {:+.2}%, dFF {:+.2}%, {:.3}s, #J {})",
+            "{name:<9}: #FF {:>6}  SER {:.4e}  (dSER {:+.2}%, dFF {:+.2}%, {:.3}s, #J {})",
             m.registers,
             m.ser,
             m.delta_ser * 100.0,
@@ -449,28 +469,22 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
             m.solve_seconds,
             m.stats.commits
         );
+    }
+    let row = match evaluated.as_slice() {
+        [(_, minobs), (_, minobswin)] => {
+            Some(prepared.circuit_run(minobs.result.clone(), minobswin.result.clone()))
+        }
+        _ => None,
     };
-    if options.method != "minobswin" {
-        show("minobs   ", &run.minobs);
-    }
-    if options.method != "minobs" {
-        show("minobswin", &run.minobswin);
-    }
-    if options.method == "both" {
-        println!("SER_ref / SER_new = {:.0}%", run.ser_ratio() * 100.0);
+    if let (Some(row), "both") = (&row, options.method.as_str()) {
+        println!("SER_ref / SER_new = {:.0}%", row.ser_ratio() * 100.0);
     }
 
-    let chosen = if options.method == "minobs" {
-        &run.minobs
-    } else {
-        &run.minobswin
-    };
-    let delays = DelayModel::default();
-    let graph = RetimeGraph::from_circuit(&circuit, &delays)?;
-    let rebuilt = apply_retiming(&circuit, &graph, &chosen.retiming)?;
+    let (_, chosen) = shown.last().expect("the chosen method was solved");
+    let rebuilt = &chosen.circuit;
 
     if options.equiv {
-        let verdict = check_equivalence(&circuit, &rebuilt, EquivConfig::default());
+        let verdict = check_equivalence(&circuit, rebuilt, EquivConfig::default());
         if verdict.is_equivalent() {
             println!("equivalence: OK (bounded random check)");
         } else {
@@ -482,24 +496,19 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
     }
 
     if let Some(out) = &options.out {
-        write_netlist(&rebuilt, out)?;
+        write_netlist(rebuilt, out)?;
         println!("wrote {out}");
     }
-    if let Some(report) = &options.report {
-        append_csv(report, &run)?;
+    if let (Some(report), Some(row)) = (&options.report, &row) {
+        append_csv(report, row)?;
         println!("appended {report}");
     }
 
     // Report any degradation (tripped engine breakers, budget stops)
     // on the methods the user asked for; a budget stop exits 4.
     let mut degraded = false;
-    let reported: &[(&str, &MethodResult)] = match options.method.as_str() {
-        "minobs" => &[("minobs", &run.minobs)],
-        "minobswin" => &[("minobswin", &run.minobswin)],
-        _ => &[("minobs", &run.minobs), ("minobswin", &run.minobswin)],
-    };
-    for (label, m) in reported {
-        let report = m.stats.degradation;
+    for (label, retimed) in &shown {
+        let report = retimed.result.stats.degradation;
         if !report.is_clean() {
             eprintln!("degradation [{label}]: {report}");
         }
@@ -515,7 +524,7 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
 struct FaultSimOptions {
     input: String,
     injections: u64,
-    method: String,
+    method: Method,
     campaign_seed: u64,
     pulse_width: f64,
     tolerance: f64,
@@ -530,7 +539,7 @@ fn parse_fault_sim_args() -> Result<FaultSimOptions, String> {
     let mut options = FaultSimOptions {
         input: String::new(),
         injections: 100_000,
-        method: "minobswin".into(),
+        method: Method::MinObsWin,
         campaign_seed: 0x5EED_FA17,
         pulse_width: 0.0,
         tolerance: DEFAULT_TOLERANCE,
@@ -547,7 +556,9 @@ fn parse_fault_sim_args() -> Result<FaultSimOptions, String> {
                     .and_then(|s| s.parse().ok())
                     .ok_or("--injections needs a positive integer")?
             }
-            "--method" => options.method = args.next().ok_or("--method needs a value")?,
+            "--method" => {
+                options.method = Method::from_name(&args.next().ok_or("--method needs a value")?)?
+            }
             "--campaign-seed" => {
                 options.campaign_seed = args
                     .next()
@@ -608,9 +619,6 @@ fn parse_fault_sim_args() -> Result<FaultSimOptions, String> {
     if options.input.is_empty() {
         return Err("missing input netlist (try `retimer fault-sim --help`)".into());
     }
-    if !matches!(options.method.as_str(), "minobs" | "minobswin") {
-        return Err(format!("unknown method `{}`", options.method));
-    }
     Ok(options)
 }
 
@@ -629,26 +637,18 @@ fn run_fault_sim() -> Result<u8, CliError> {
         seed: options.seed,
         threads: options.threads,
     });
-    let run = Experiment::new(&circuit).config(config.clone()).run()?;
-    let ser_config = SerConfig {
-        sim: config.sim,
-        delays: config.delays.clone(),
-        rates: config.rates.clone(),
-        elw: ElwParams {
-            phi: run.phi,
-            t_setup: config.init.t_setup,
-            t_hold: config.init.t_hold,
-        },
-    };
+    let prepared = experiment::prepare(&circuit, &config)?;
+    let (solution, seconds) = experiment::solve(&prepared, &config, options.method, None)?;
+    let retimed = experiment::evaluate(&prepared, solution, seconds)?;
+    let ser_config = &prepared.ser_config;
     let campaign_config = CampaignConfig::new(options.injections)
         .with_seed(options.campaign_seed)
         .with_workers(options.threads)
         .with_pulse_width(options.pulse_width);
 
-    let score = |label: &str, c: &Circuit| -> Result<f64, CliError> {
-        let report = analyze(c, &ser_config)?;
-        let campaign = run_campaign(c, &ser_config, &campaign_config)?;
-        let check = CrossCheck::compare(c, &report, &campaign, options.tolerance);
+    let score = |label: &str, c: &Circuit, report: &SerReport| -> Result<f64, CliError> {
+        let campaign = run_campaign(c, ser_config, &campaign_config)?;
+        let check = CrossCheck::compare(c, report, &campaign, options.tolerance);
         println!("== {label} ==");
         print!("{}", check.summary());
         let (lo, hi) = campaign.ser_ci();
@@ -672,23 +672,18 @@ fn run_fault_sim() -> Result<u8, CliError> {
         Ok(campaign.ser())
     };
 
-    let before = score("original", &circuit)?;
-
-    let chosen = if options.method == "minobs" {
-        &run.minobs
-    } else {
-        &run.minobswin
-    };
-    let delays = DelayModel::default();
-    let graph = RetimeGraph::from_circuit(&circuit, &delays)?;
-    let rebuilt = apply_retiming(&circuit, &graph, &chosen.retiming)?;
-    let after = score(&format!("retimed ({})", options.method), &rebuilt)?;
+    let before = score("original", &circuit, &prepared.original)?;
+    let after = score(
+        &format!("retimed ({})", options.method.name()),
+        &retimed.circuit,
+        &retimed.report,
+    )?;
 
     if before > 0.0 {
         println!(
             "empirical SER change: {:+.2}% (analytic {:+.2}%)",
             (after / before - 1.0) * 100.0,
-            chosen.delta_ser * 100.0
+            retimed.result.delta_ser * 100.0
         );
     }
     Ok(0)

@@ -360,6 +360,16 @@ pub fn to_json(records: &[BenchSerRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that call [`measure`]: its allocation
+    /// columns read the process-global `signature_allocs` counter, so
+    /// a concurrent `measure` in another test thread would leak its
+    /// allocations into this one's delta.
+    fn measure_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     /// An all-zero record (empty circuit, zero-time columns) must not
     /// poison the tracked JSON with NaN/Inf: every ratio clamps its
@@ -426,6 +436,7 @@ mod tests {
 
     #[test]
     fn sample_records_are_consistent_and_serialize() {
+        let _serial = measure_lock();
         let config = BenchSerConfig::tiny();
         let records: Vec<BenchSerRecord> = sample_instances()
             .iter()
@@ -451,6 +462,7 @@ mod tests {
     fn arena_allocates_far_less_than_scalar() {
         // The scalar engine clones a Signature per gate and frame; the
         // arena engine only allocates the finalized observability masks.
+        let _serial = measure_lock();
         let instance = generated_instance(400);
         let record = measure(&instance, &BenchSerConfig::tiny());
         assert!(
@@ -466,6 +478,7 @@ mod tests {
         // The headline claim (>=1.5x) is asserted on the committed
         // BENCH_ser.json baseline; under a loaded test runner we only
         // require the arena engine not be meaningfully slower.
+        let _serial = measure_lock();
         let instance = generated_instance(400);
         let record = measure(&instance, &BenchSerConfig::tiny());
         assert!(

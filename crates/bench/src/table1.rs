@@ -1,7 +1,7 @@
 //! Table I reproduction: per-circuit statistics, Efficient MinObs and
 //! MinObsWin results, and the paper's summary averages.
 
-use minobswin::experiment::{CircuitRun, Experiment, RunConfig};
+use minobswin::experiment::{self, CircuitRun, RunConfig};
 use netlist::generator::{table1_twin, Table1Row as PaperRow, TABLE1_ROWS};
 use netlist::parallel;
 use ser_engine::sim::SimConfig;
@@ -114,7 +114,7 @@ fn run_row(paper_row: &PaperRow, options: &Table1Options, sim_threads: usize) ->
         seed: 0xC0FFEE,
         threads: sim_threads,
     });
-    match Experiment::new(&circuit).config(config).run() {
+    match experiment::run(&circuit, &config) {
         Ok(run) => Some(Table1Row {
             paper_name: paper_row.name,
             run,

@@ -1,8 +1,11 @@
-//! End-to-end experiment driver: circuit → SER analysis → Problem 1 →
-//! MinObs / MinObsWin → retimed netlists → SER re-analysis. One call
-//! produces everything a row of the paper's Table I reports.
+//! End-to-end experiment stages: circuit → §V initialization and one
+//! simulation → Problem 1 → one solve per method → retimed netlist →
+//! SER re-analysis. Each stage is a plain function: [`prepare`] once
+//! per circuit, then [`solve`] and [`evaluate`] once per method.
+//! [`run`] composes both methods into everything a row of the paper's
+//! Table I reports; callers that need one method compose the stages
+//! themselves and compute nothing they do not return.
 
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -13,15 +16,16 @@ use retime::{ElwParams, RetimeGraph, Retiming};
 use ser_engine::odc::Observability;
 use ser_engine::sim::{FrameTrace, SimConfig};
 use ser_engine::{
-    analyze, propprob_report_with_trace, vertex_observabilities, ErrorRateModel, SerConfig,
+    analyze, analyze_with_observability, propprob_report_with_trace, vertex_observabilities,
+    ErrorRateModel, SerConfig, SerReport,
 };
 
-use crate::algorithm::{SolverConfig, SolverStats};
-use crate::init::InitConfig;
+use crate::algorithm::{Solution, SolverConfig, SolverStats};
+use crate::init::{InitConfig, InitResult};
 use crate::problem::Problem;
 use crate::session::SolverSession;
 use crate::supervisor::{
-    BreakerTrip, Checkpoint, FileCheckpointSink, SolveBudget, Supervision, TripCause,
+    BreakerTrip, Checkpoint, FileCheckpointSink, ProgressFn, SolveBudget, Supervision, TripCause,
 };
 use crate::SolveError;
 
@@ -47,10 +51,10 @@ pub struct RunConfig {
     /// satisfies, so an over-tight override is the supported way to
     /// drive the pipeline into [`SolveError::InfeasibleInitial`].
     pub r_min_override: Option<i64>,
-    /// Resource budget shared by both solver runs (MinObs and
-    /// MinObsWin race the same deadline through the budget's shared
-    /// cancellation token). An expired budget degrades the affected
-    /// method to its best-so-far retiming; see
+    /// Resource budget of every [`solve`]. When [`run`] solves both
+    /// methods they share the budget's cancellation token, so a
+    /// deadline expiring in one stops the other too. An expired budget
+    /// degrades the affected method to its best-so-far retiming; see
     /// [`MethodResult::stats`]'s degradation report.
     pub budget: SolveBudget,
     /// Checkpoint path prefix: each method writes
@@ -65,80 +69,6 @@ pub struct RunConfig {
     /// callers — the serve daemon's per-job configs — select e.g. the
     /// closure engine without bypassing the experiment driver.
     pub solver: SolverConfig,
-    /// Phase/progress event stream (see [`ExperimentEvent`]); unset by
-    /// default.
-    pub progress: ProgressHook,
-}
-
-/// A pipeline phase notification streamed by [`Experiment::run`]
-/// through [`RunConfig::with_progress`]. The serve daemon maps these
-/// onto its per-job `levelized` / `iteration` protocol events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExperimentEvent {
-    /// The retiming graph is built, §V initialization succeeded and
-    /// the circuit is levelized; solving is about to start.
-    Levelized {
-        /// Retiming-graph vertices (excluding the host).
-        vertices: usize,
-        /// Retiming-graph edges.
-        edges: usize,
-        /// Combinational levels in the circuit.
-        levels: usize,
-        /// The chosen period constraint Φ.
-        phi: i64,
-        /// The chosen (or overridden) `R_min` bound.
-        r_min: i64,
-    },
-    /// Periodic solver progress (method is `"minobs"` or
-    /// `"minobswin"`).
-    SolveProgress {
-        /// Which method is solving.
-        method: &'static str,
-        /// Total solver iterations so far.
-        iterations: usize,
-        /// Committed improvement rounds so far.
-        commits: usize,
-    },
-    /// One method's solve finished.
-    MethodDone {
-        /// Which method finished.
-        method: &'static str,
-    },
-}
-
-/// A shareable experiment progress callback.
-pub type ExperimentProgressFn = dyn Fn(ExperimentEvent) + Send + Sync;
-
-/// An optional [`ExperimentProgressFn`], wrapped so [`RunConfig`]
-/// stays `Debug + Clone + Default`.
-#[derive(Clone, Default)]
-pub struct ProgressHook(Option<Arc<ExperimentProgressFn>>);
-
-impl fmt::Debug for ProgressHook {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("ProgressHook")
-            .field(&self.0.is_some())
-            .finish()
-    }
-}
-
-impl ProgressHook {
-    /// Wraps a callback.
-    pub fn new(f: Arc<ExperimentProgressFn>) -> Self {
-        Self(Some(f))
-    }
-
-    /// Emits one event (a no-op when unset).
-    pub fn emit(&self, event: ExperimentEvent) {
-        if let Some(f) = &self.0 {
-            f(event);
-        }
-    }
-
-    /// Whether a callback is registered.
-    pub fn is_set(&self) -> bool {
-        self.0.is_some()
-    }
 }
 
 impl RunConfig {
@@ -201,17 +131,44 @@ impl RunConfig {
         self.solver = solver;
         self
     }
-
-    /// Streams [`ExperimentEvent`]s through `f` as the pipeline runs.
-    pub fn with_progress(mut self, f: Arc<ExperimentProgressFn>) -> Self {
-        self.progress = ProgressHook::new(f);
-        self
-    }
 }
 
 /// The per-method checkpoint file for a `--checkpoint` prefix.
 pub fn checkpoint_path(prefix: &Path, method: &str) -> PathBuf {
     PathBuf::from(format!("{}.{method}.ckpt", prefix.display()))
+}
+
+/// Which optimizer a [`solve`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Method {
+    /// The Efficient MinObs baseline (MinObsWin without P2).
+    MinObs,
+    /// MinObsWin (the paper's Algorithm 1; the default).
+    #[default]
+    MinObsWin,
+}
+
+impl Method {
+    /// The method's name on the command line and in the serve protocol.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Method::MinObs => "minobs",
+            Method::MinObsWin => "minobswin",
+        }
+    }
+
+    /// Parses a method name.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the unknown method.
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        match name {
+            "minobs" => Ok(Method::MinObs),
+            "minobswin" => Ok(Method::MinObsWin),
+            other => Err(format!("unknown method `{other}`")),
+        }
+    }
 }
 
 /// Result of one optimization method on one circuit.
@@ -271,73 +228,76 @@ impl CircuitRun {
     }
 }
 
-/// A configured end-to-end experiment over one circuit, built in the
-/// same builder style as [`SolverSession`]:
-///
-/// ```no_run
-/// use minobswin::experiment::{Experiment, RunConfig};
-/// # use netlist::samples;
-/// # fn main() -> Result<(), minobswin::SolveError> {
-/// let run = Experiment::new(&samples::s27_like())
-///     .config(RunConfig::small())
-///     .run()?;
-/// println!("{}: SER ratio {:.3}", run.name, run.ser_ratio());
-/// # Ok(())
-/// # }
-/// ```
+/// Everything the per-method stages share, computed once per circuit
+/// by [`prepare`]. The simulation trace it was derived from is already
+/// dropped: retiming does not change the observability of
+/// combinational gates (§III.B), so no later stage needs it.
 #[derive(Debug, Clone)]
-#[must_use = "an Experiment does nothing until `run()` is called"]
-pub struct Experiment<'a> {
-    circuit: &'a Circuit,
-    config: RunConfig,
+pub struct Prepared<'c> {
+    /// The original circuit.
+    pub circuit: &'c Circuit,
+    /// Its retiming graph.
+    pub graph: RetimeGraph,
+    /// The §V initialization: Φ and the starting retiming.
+    pub init: InitResult,
+    /// The `R_min` bound in force (§V's, or the override).
+    pub r_min: i64,
+    /// Problem 1 over the original circuit's observabilities.
+    pub problem: Problem,
+    /// SER analysis parameters at the chosen Φ.
+    pub ser_config: SerConfig,
+    /// SER report of the original circuit.
+    pub original: SerReport,
+    /// SER of the original circuit per the independent
+    /// propagation-probability engine.
+    pub ser_propprob: f64,
 }
 
-impl<'a> Experiment<'a> {
-    /// Creates an experiment over `circuit` with the default
-    /// [`RunConfig`].
-    pub fn new(circuit: &'a Circuit) -> Self {
-        Self {
-            circuit,
-            config: RunConfig::default(),
+impl Prepared<'_> {
+    /// The Table I row for this circuit, given both methods' results.
+    pub fn circuit_run(&self, minobs: MethodResult, minobswin: MethodResult) -> CircuitRun {
+        CircuitRun {
+            name: self.circuit.name().to_string(),
+            v: self.graph.num_vertices() - 1,
+            e: self.graph.num_edges(),
+            ff: self.circuit.num_registers(),
+            phi: self.init.phi,
+            r_min: self.r_min,
+            used_setup_hold: self.init.used_setup_hold,
+            ser_original: self.original.ser,
+            ser_propprob: self.ser_propprob,
+            minobs,
+            minobswin,
         }
     }
-
-    /// Replaces the experiment configuration.
-    pub fn config(mut self, config: RunConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Runs the full pipeline: simulate → Problem 1 → MinObs and
-    /// MinObsWin → rebuild → SER re-analysis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError`] on infeasible initialization or solver
-    /// failure, and wraps retiming/netlist errors from the substrate
-    /// crates.
-    pub fn run(self) -> Result<CircuitRun, SolveError> {
-        run_experiment(self.circuit, &self.config)
-    }
 }
 
-fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, SolveError> {
+/// A method's result together with the retimed netlist it describes
+/// and that netlist's SER report.
+#[derive(Debug, Clone)]
+pub struct Evaluated {
+    /// The Table I columns of the method.
+    pub result: MethodResult,
+    /// The retimed netlist.
+    pub circuit: Circuit,
+    /// Its SER report at the prepared Φ.
+    pub report: SerReport,
+}
+
+/// Stage 1: builds the retiming graph, runs §V initialization, checks
+/// the memory cap, simulates the circuit **once** and derives from
+/// that one trace Problem 1, the original circuit's SER report and
+/// the propagation-probability second opinion.
+///
+/// # Errors
+///
+/// Returns [`SolveError`] on infeasible initialization or an
+/// over-budget simulation data plane, and wraps retiming/netlist
+/// errors from the substrate crates.
+pub fn prepare<'c>(circuit: &'c Circuit, config: &RunConfig) -> Result<Prepared<'c>, SolveError> {
     let graph = RetimeGraph::from_circuit(circuit, &config.delays)?;
     let init = config.init.initialize(&graph)?;
     let r_min = config.r_min_override.unwrap_or(init.r_min);
-    let params = ElwParams {
-        phi: init.phi,
-        t_setup: config.init.t_setup,
-        t_hold: config.init.t_hold,
-    };
-
-    config.progress.emit(ExperimentEvent::Levelized {
-        vertices: graph.num_vertices() - 1,
-        edges: graph.num_edges(),
-        levels: netlist::Levelization::of(circuit).num_levels(),
-        phi: init.phi,
-        r_min,
-    });
 
     // The simulation data plane dominates memory at scale (frames ×
     // gates × vectors); check it against the budget's memory cap
@@ -357,136 +317,168 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
         }
     }
 
-    // One simulation serves everything: retiming does not change the
-    // observability of combinational gates (§III.B).
-    let trace = FrameTrace::simulate(circuit, config.sim);
-    let observability = Observability::compute(circuit, &trace);
-    let vertex_obs = vertex_observabilities(circuit, &graph, &observability);
-    let problem =
-        Problem::from_observabilities(&graph, &vertex_obs, config.sim.num_vectors, params, r_min);
-
     let ser_config = SerConfig {
         sim: config.sim,
         delays: config.delays.clone(),
         rates: config.rates.clone(),
-        elw: params,
+        elw: ElwParams {
+            phi: init.phi,
+            t_setup: config.init.t_setup,
+            t_hold: config.init.t_hold,
+        },
     };
-    let original_report = analyze(circuit, &ser_config)?;
+    let trace = FrameTrace::simulate(circuit, config.sim);
+    let observability = Observability::compute(circuit, &trace);
+    let vertex_obs = vertex_observabilities(circuit, &graph, &observability);
+    let problem = Problem::from_observabilities(
+        &graph,
+        &vertex_obs,
+        config.sim.num_vectors,
+        ser_config.elw,
+        r_min,
+    );
+    let original = analyze_with_observability(circuit, &ser_config, &observability)?;
     // Second opinion from the propagation-probability engine, reusing
-    // the one simulation above for its signal densities.
-    let propprob_report = propprob_report_with_trace(circuit, &ser_config, &trace)?;
-    let ff = circuit.num_registers();
+    // the same trace for its signal densities.
+    let ser_propprob = propprob_report_with_trace(circuit, &ser_config, &trace)?.ser;
+    Ok(Prepared {
+        circuit,
+        graph,
+        init,
+        r_min,
+        problem,
+        ser_config,
+        original,
+        ser_propprob,
+    })
+}
 
-    // Any SER engine breaker trip (sampled audit caught the parallel
-    // engine diverging; results came from the scalar fallback) is
-    // surfaced on each method's degradation report.
-    let sim_engine = observability.engine().merged(original_report.engine);
-    let evaluate = |retiming: &Retiming,
-                    seconds: f64,
-                    mut stats: SolverStats|
-     -> Result<MethodResult, SolveError> {
-        let rebuilt = apply_retiming(circuit, &graph, retiming)?;
-        let report = analyze(&rebuilt, &ser_config)?;
-        let engine = sim_engine.merged(report.engine);
-        if !engine.is_clean() {
-            stats.degradation.ser_trip = Some(BreakerTrip {
-                iteration: 0,
-                cause: TripCause::Divergence,
-            });
-            stats.perf.breaker_trips += engine.trips;
-        }
-        Ok(MethodResult {
-            retiming: retiming.clone(),
-            registers: rebuilt.num_registers(),
-            delta_ff: rebuilt.num_registers() as f64 / ff.max(1) as f64 - 1.0,
-            ser: report.ser,
-            delta_ser: report.ser / original_report.ser - 1.0,
-            solve_seconds: seconds,
-            stats,
-        })
-    };
-
-    // Both methods run under the same budget: wall-time expiry in one
-    // cancels the shared token, so the other degrades promptly instead
-    // of doubling the overrun.
-    let supervise = |method: &'static str| -> Result<Supervision, SolveError> {
-        // The static memory model covers graph/labels/arcs; the live
-        // arena probe adds the SER trace planes, so the cap governs
-        // the run's real dominant allocation at 50k-gate scale.
-        let mut sup = Supervision::new()
-            .budget(config.budget.clone())
-            .with_memory_probe(Arc::new(ser_engine::SignatureArena::live_bytes));
-        if let Some(prefix) = &config.checkpoint {
-            let path = checkpoint_path(prefix, method);
-            if config.resume && path.exists() {
-                match Checkpoint::read_file(&path) {
-                    Ok(checkpoint) => sup = sup.resume_from(checkpoint),
-                    Err(e) => {
-                        // Self-healing: a checkpoint that fails its
-                        // seal or parse is moved aside (preserved for
-                        // inspection, never rewritten in place) and
-                        // the solve starts fresh — recomputing is
-                        // always safe, resuming corrupt state never is.
-                        let quarantined = path.with_extension("ckpt.corrupt");
-                        let _ = netlist::fio::rename(&path, &quarantined);
-                        eprintln!(
-                            "warning: ignoring corrupt checkpoint ({e}); \
-                             moved to {} and solving from scratch",
-                            quarantined.display()
-                        );
-                    }
+/// Stage 2: solves Problem 1 with one method from the §V starting
+/// retiming, under `config`'s budget and its per-method
+/// checkpoint/resume, streaming progress to `on_progress` when given.
+/// Returns the solution and the seconds spent in the solver.
+///
+/// # Errors
+///
+/// Returns [`SolveError`] on an infeasible start, solver failure or an
+/// unusable checkpoint.
+pub fn solve(
+    prepared: &Prepared,
+    config: &RunConfig,
+    method: Method,
+    on_progress: Option<Arc<ProgressFn>>,
+) -> Result<(Solution, f64), SolveError> {
+    let t0 = Instant::now();
+    // The static memory model covers graph/labels/arcs; the live arena
+    // probe adds the SER trace planes, so the cap governs the run's
+    // real dominant allocation at 50k-gate scale.
+    let mut sup = Supervision::new()
+        .budget(config.budget.clone())
+        .with_memory_probe(Arc::new(ser_engine::SignatureArena::live_bytes));
+    if let Some(prefix) = &config.checkpoint {
+        let path = checkpoint_path(prefix, method.name());
+        if config.resume && path.exists() {
+            match Checkpoint::read_file(&path) {
+                Ok(checkpoint) => sup = sup.resume_from(checkpoint),
+                Err(e) => {
+                    // Self-healing: a checkpoint that fails its seal or
+                    // parse is moved aside (preserved for inspection,
+                    // never rewritten in place) and the solve starts
+                    // fresh — recomputing is always safe, resuming
+                    // corrupt state never is.
+                    let quarantined = path.with_extension("ckpt.corrupt");
+                    let _ = netlist::fio::rename(&path, &quarantined);
+                    eprintln!(
+                        "warning: ignoring corrupt checkpoint ({e}); \
+                         moved to {} and solving from scratch",
+                        quarantined.display()
+                    );
                 }
             }
-            sup = sup.checkpoint_to(FileCheckpointSink::new(path));
         }
-        if config.progress.is_set() {
-            let hook = config.progress.clone();
-            sup = sup.on_progress(Arc::new(move |p: crate::SolveProgress| {
-                hook.emit(ExperimentEvent::SolveProgress {
-                    method,
-                    iterations: p.iterations,
-                    commits: p.commits,
-                });
-            }));
-        }
-        Ok(sup)
+        sup = sup.checkpoint_to(FileCheckpointSink::new(path));
+    }
+    if let Some(f) = on_progress {
+        sup = sup.on_progress(f);
+    }
+    let solver = match method {
+        Method::MinObs => config.solver.with_p2(false),
+        Method::MinObsWin => config.solver,
     };
-
-    let t0 = Instant::now();
-    let ref_sol = SolverSession::new(&graph, &problem)
-        .config(config.solver.with_p2(false))
-        .initial(init.retiming.clone())
-        .run_supervised(supervise("minobs")?)?
+    let solution = SolverSession::new(&prepared.graph, &prepared.problem)
+        .config(solver)
+        .initial(prepared.init.retiming.clone())
+        .run_supervised(sup)?
         .into_solution();
-    let ref_secs = t0.elapsed().as_secs_f64();
-    config
-        .progress
-        .emit(ExperimentEvent::MethodDone { method: "minobs" });
+    Ok((solution, t0.elapsed().as_secs_f64()))
+}
 
-    let t1 = Instant::now();
-    let win_sol = SolverSession::new(&graph, &problem)
-        .config(config.solver)
-        .initial(init.retiming.clone())
-        .run_supervised(supervise("minobswin")?)?
-        .into_solution();
-    let win_secs = t1.elapsed().as_secs_f64();
-    config.progress.emit(ExperimentEvent::MethodDone {
-        method: "minobswin",
-    });
-
-    Ok(CircuitRun {
-        name: circuit.name().to_string(),
-        v: graph.num_vertices() - 1,
-        e: graph.num_edges(),
-        ff,
-        phi: init.phi,
-        r_min,
-        used_setup_hold: init.used_setup_hold,
-        ser_original: original_report.ser,
-        ser_propprob: propprob_report.ser,
-        minobs: evaluate(&ref_sol.retiming, ref_secs, ref_sol.stats)?,
-        minobswin: evaluate(&win_sol.retiming, win_secs, win_sol.stats)?,
+/// Stage 3: rebuilds the netlist for a [`solve`]d retiming and
+/// re-analyzes its SER against the original circuit.
+///
+/// # Errors
+///
+/// Wraps retiming errors from the rebuild and the SER analysis.
+pub fn evaluate(
+    prepared: &Prepared,
+    solution: Solution,
+    seconds: f64,
+) -> Result<Evaluated, SolveError> {
+    let rebuilt = apply_retiming(prepared.circuit, &prepared.graph, &solution.retiming)?;
+    let report = analyze(&rebuilt, &prepared.ser_config)?;
+    let mut stats = solution.stats;
+    // Any SER engine breaker trip (sampled audit caught the parallel
+    // engine diverging; results came from the scalar fallback) is
+    // surfaced on the method's degradation report.
+    let engine = prepared.original.engine.merged(report.engine);
+    if !engine.is_clean() {
+        stats.degradation.ser_trip = Some(BreakerTrip {
+            iteration: 0,
+            cause: TripCause::Divergence,
+        });
+        stats.perf.breaker_trips += engine.trips;
+    }
+    let ff = prepared.circuit.num_registers();
+    let result = MethodResult {
+        retiming: solution.retiming,
+        registers: rebuilt.num_registers(),
+        delta_ff: rebuilt.num_registers() as f64 / ff.max(1) as f64 - 1.0,
+        ser: report.ser,
+        delta_ser: report.ser / prepared.original.ser - 1.0,
+        solve_seconds: seconds,
+        stats,
+    };
+    Ok(Evaluated {
+        result,
+        circuit: rebuilt,
+        report,
     })
+}
+
+/// The whole Table I pipeline over one circuit: [`prepare`], then
+/// [`solve`] and [`evaluate`] for MinObs and for MinObsWin.
+///
+/// ```no_run
+/// use minobswin::experiment::{self, RunConfig};
+/// # use netlist::samples;
+/// # fn main() -> Result<(), minobswin::SolveError> {
+/// let run = experiment::run(&samples::s27_like(), &RunConfig::small())?;
+/// println!("{}: SER ratio {:.3}", run.name, run.ser_ratio());
+/// # Ok(())
+/// # }
+/// ```
+///
+/// # Errors
+///
+/// See [`prepare`], [`solve`] and [`evaluate`].
+pub fn run(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, SolveError> {
+    let prepared = prepare(circuit, config)?;
+    let (minobs, t_ref) = solve(&prepared, config, Method::MinObs, None)?;
+    let (minobswin, t_new) = solve(&prepared, config, Method::MinObsWin, None)?;
+    Ok(prepared.circuit_run(
+        evaluate(&prepared, minobs, t_ref)?.result,
+        evaluate(&prepared, minobswin, t_new)?.result,
+    ))
 }
 
 #[cfg(test)]
@@ -494,13 +486,17 @@ mod tests {
     use super::*;
     use netlist::samples;
 
+    fn generated() -> Circuit {
+        netlist::generator::GeneratorConfig::new("exp", 11)
+            .gates(120)
+            .registers(24)
+            .build()
+    }
+
     #[test]
     fn s27_runs_end_to_end() {
         let c = samples::s27_like();
-        let run = Experiment::new(&c)
-            .config(RunConfig::small())
-            .run()
-            .unwrap();
+        let run = run(&c, &RunConfig::small()).unwrap();
         assert!(run.ser_original > 0.0);
         assert!(run.ser_propprob > 0.0);
         assert!(run.minobs.ser > 0.0);
@@ -511,14 +507,7 @@ mod tests {
 
     #[test]
     fn generated_circuit_runs_end_to_end() {
-        let c = netlist::generator::GeneratorConfig::new("exp", 11)
-            .gates(120)
-            .registers(24)
-            .build();
-        let run = Experiment::new(&c)
-            .config(RunConfig::small())
-            .run()
-            .unwrap();
+        let run = run(&generated(), &RunConfig::small()).unwrap();
         // The optimizers only ever improve (or match) the scaled
         // register-observability objective; SER usually follows, but is
         // evaluated with fresh ELWs so we only sanity-check structure.
@@ -528,12 +517,51 @@ mod tests {
     }
 
     #[test]
+    fn prepared_original_report_matches_a_fresh_analysis() {
+        // `prepare` analyzes the original circuit from the one trace it
+        // also builds Problem 1 from; a from-scratch `analyze` must
+        // agree bit for bit.
+        for c in [samples::s27_like(), generated()] {
+            let prepared = prepare(&c, &RunConfig::small()).unwrap();
+            let fresh = analyze(&c, &prepared.ser_config).unwrap();
+            assert_eq!(
+                prepared.original.ser.to_bits(),
+                fresh.ser.to_bits(),
+                "{}",
+                c.name()
+            );
+            let bits = |obs: &[f64]| obs.iter().map(|o| o.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&prepared.original.obs),
+                bits(&fresh.obs),
+                "{}",
+                c.name()
+            );
+        }
+    }
+
+    #[test]
+    fn evaluate_returns_the_netlist_it_scored() {
+        let c = generated();
+        let config = RunConfig::small();
+        let prepared = prepare(&c, &config).unwrap();
+        let (solution, seconds) = solve(&prepared, &config, Method::MinObsWin, None).unwrap();
+        let evaluated = evaluate(&prepared, solution, seconds).unwrap();
+        assert_eq!(
+            evaluated.result.registers,
+            evaluated.circuit.num_registers()
+        );
+        assert_eq!(evaluated.result.ser, evaluated.report.ser);
+        // One method composed by hand equals that method inside `run`.
+        let full = run(&c, &config).unwrap();
+        assert_eq!(evaluated.result.retiming, full.minobswin.retiming);
+        assert_eq!(evaluated.result.ser, full.minobswin.ser);
+    }
+
+    #[test]
     fn r_min_override_can_force_infeasibility() {
         let c = samples::s27_like();
-        let err = Experiment::new(&c)
-            .config(RunConfig::small().with_r_min_override(Some(1_000_000)))
-            .run()
-            .unwrap_err();
+        let err = run(&c, &RunConfig::small().with_r_min_override(Some(1_000_000))).unwrap_err();
         assert!(matches!(err, SolveError::InfeasibleInitial(_)));
         assert_eq!(err.exit_code(), 1);
     }
@@ -544,32 +572,20 @@ mod tests {
         // A cap of 1 byte is below any data plane: the run must fail
         // with a structured initialization error (exit 1), not abort.
         let budget = SolveBudget::new().with_max_memory_estimate(Some(1));
-        let err = Experiment::new(&c)
-            .config(RunConfig::small().with_budget(budget))
-            .run()
-            .unwrap_err();
+        let err = run(&c, &RunConfig::small().with_budget(budget)).unwrap_err();
         assert!(matches!(err, SolveError::Initialization(_)), "{err}");
         assert!(err.to_string().contains("memory budget"), "{err}");
         assert_eq!(err.exit_code(), 1);
         // A generous cap admits the same run.
         let budget = SolveBudget::new().with_max_memory_estimate(Some(1 << 30));
-        Experiment::new(&c)
-            .config(RunConfig::small().with_budget(budget))
-            .run()
-            .unwrap();
+        run(&c, &RunConfig::small().with_budget(budget)).unwrap();
     }
 
     #[test]
     fn deterministic_runs() {
         let c = samples::s27_like();
-        let a = Experiment::new(&c)
-            .config(RunConfig::small())
-            .run()
-            .unwrap();
-        let b = Experiment::new(&c)
-            .config(RunConfig::small())
-            .run()
-            .unwrap();
+        let a = run(&c, &RunConfig::small()).unwrap();
+        let b = run(&c, &RunConfig::small()).unwrap();
         assert_eq!(a.ser_original, b.ser_original);
         assert_eq!(a.minobswin.ser, b.minobswin.ser);
         assert_eq!(a.minobswin.retiming, b.minobswin.retiming);

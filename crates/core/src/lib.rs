@@ -24,17 +24,20 @@
 //!   [`algorithm::SolverConfig::with_closure_engine`]),
 //! * [`init::InitConfig`]: the §V choice of `Φ`, `R_min` and the
 //!   starting retiming,
-//! * [`experiment::Experiment`]: the end-to-end driver producing a
-//!   Table-I row (SER before/after both methods, Δ#FF, timings, `#J`).
+//! * [`experiment`]: the end-to-end stages — [`experiment::prepare`]
+//!   once per circuit, [`experiment::solve`] and
+//!   [`experiment::evaluate`] once per method — and
+//!   [`experiment::run`], which composes them into a Table-I row (SER
+//!   before/after both methods, Δ#FF, timings, `#J`).
 //!
 //! # Examples
 //!
 //! ```
-//! use minobswin::experiment::{Experiment, RunConfig};
+//! use minobswin::experiment::{self, RunConfig};
 //! use netlist::samples;
 //! # fn main() -> Result<(), minobswin::SolveError> {
 //! let circuit = samples::s27_like();
-//! let run = Experiment::new(&circuit).config(RunConfig::small()).run()?;
+//! let run = experiment::run(&circuit, &RunConfig::small())?;
 //! println!(
 //!     "SER {:.3e} -> MinObs {:.3e} / MinObsWin {:.3e}",
 //!     run.ser_original, run.minobs.ser, run.minobswin.ser

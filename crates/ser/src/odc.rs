@@ -36,8 +36,6 @@
 //! *every* run, not just multi-threaded ones. Trips land in
 //! [`Observability::engine`], merged with the trace's own report.
 
-use std::sync::OnceLock;
-
 use netlist::{parallel, Circuit, GateId, GateKind, Levelization};
 
 use crate::scalar::ScalarTrace;
@@ -48,90 +46,12 @@ use crate::signature::{
 };
 use crate::sim::{eval_slots, EngineReport, EvalPlan, FrameTrace, SimConfig};
 
-/// Default sweep tile width: 64 words = a full row for every vector
-/// count up to 4096, i.e. a single full-width sweep. Narrower stripes
-/// (e.g. 8 words = one cache line per row) trade an extra walk of the
-/// per-fanout op stream for L2 residency of the value and mask planes
-/// — a win only when last-level cache is small relative to the frame;
-/// the calibration probe measures exactly that trade on the running
-/// machine and narrows the tile when it pays.
-const ODC_BLOCK_WORDS: usize = 64;
-
-/// Environment override for the sweep tile width (in 64-bit words).
-/// Any positive value is valid — the tile size only affects traversal
-/// order, never results (the differential tests pin bit-identity
-/// across tile sizes).
-pub const ODC_BLOCK_ENV: &str = "SER_ODC_BLOCK_WORDS";
-
-static CALIBRATED_BLOCK: OnceLock<usize> = OnceLock::new();
-
-/// Resolves the sweep tile width: explicit `SER_ODC_BLOCK_WORDS`
-/// override, else the one-time calibration probe. Shared with the
-/// forward simulator — both engines sweep the same stripe shape.
-pub(crate) fn resolve_block_words() -> usize {
-    if let Ok(v) = std::env::var(ODC_BLOCK_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    *CALIBRATED_BLOCK.get_or_init(calibrate_block_words)
-}
-
-/// One-time timing probe for the sweep tile width: replays the
-/// frame-level access pattern — every slot's accumulator tile written
-/// and several strided fanout-row tiles read per slot, over a working
-/// set sized past L2 so the sweep's cache-residency effect is what
-/// gets measured — at a few candidate widths and keeps the fastest.
-/// Purely a performance heuristic — any candidate computes identical
-/// bits — so timing noise can only cost speed, never correctness.
-fn calibrate_block_words() -> usize {
-    use std::time::Instant;
-    const SLOTS: usize = 4096;
-    const WPS: usize = 64; // two 2 MiB arrays: past a typical L2
-    const FANOUTS: usize = 4;
-    let values: Vec<u64> = (0..SLOTS * WPS)
-        .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .collect();
-    let mut odc: Vec<u64> = values.iter().map(|v| v.rotate_left(13)).collect();
-    let mut best = (u128::MAX, ODC_BLOCK_WORDS);
-    for &cand in &[8usize, 16, 32, 64] {
-        let t0 = Instant::now();
-        let mut sink = 0u64;
-        for _ in 0..3 {
-            let mut b0 = 0;
-            while b0 < WPS {
-                let b1 = (b0 + cand).min(WPS);
-                for s in 0..SLOTS {
-                    let (acc, right) = odc.split_at_mut((s + 1) * WPS);
-                    let ab = &mut acc[s * WPS + b0..s * WPS + b1];
-                    ab.fill(0);
-                    let span = SLOTS - s - 1;
-                    for fo in 0..FANOUTS {
-                        if span == 0 {
-                            break;
-                        }
-                        // Strided forward references, like fanouts into
-                        // the already-finalized higher levels.
-                        let h = s + 1 + (s * 7 + fo * 13) % span;
-                        let ho = (h - s - 1) * WPS;
-                        let x = ((s * 5 + fo * 11) % SLOTS) * WPS;
-                        or_and_rows(ab, &right[ho + b0..ho + b1], &values[x + b0..x + b1]);
-                    }
-                    sink ^= ab[0];
-                }
-                b0 = b1;
-            }
-        }
-        std::hint::black_box(sink);
-        let dt = t0.elapsed().as_nanos();
-        if dt < best.0 {
-            best = (dt, cand);
-        }
-    }
-    best.1
-}
+/// Sweep tile width in 64-bit words, shared with the forward
+/// simulator so both engines sweep the same stripe shape. 64 words is
+/// a full row for every vector count up to 4096, i.e. a single
+/// full-width sweep. The tile only affects traversal order, never
+/// results (the differential tests pin bit-identity across widths).
+pub(crate) const ODC_BLOCK_WORDS: usize = 64;
 
 /// Magic seed that makes a multi-threaded ODC pass deliberately
 /// corrupt one worker's output in the audited level of the first
@@ -413,7 +333,7 @@ fn build_odc_ops(plan: &[OdcSlot]) -> OdcOps {
 /// SWAR row pass; only uncollapsible fanouts re-evaluate via the
 /// batched [`accumulate_sensitivity`] kernel. The word sub-range is
 /// the cache-blocking lever: the frame loop sweeps `b0..b1` tiles
-/// *outermost* across all levels (see [`resolve_block_words`]) so the
+/// *outermost* across all levels (see [`ODC_BLOCK_WORDS`]) so the
 /// touched cache lines of both the value and mask planes stay resident
 /// across a whole backward pass. Bit-identical to
 /// [`odc_slots_serial`] — which stays the audit oracle — because every
@@ -721,11 +641,10 @@ pub struct Observability {
 }
 
 impl Observability {
-    /// Computes observabilities from a simulated trace, with the
-    /// accumulation tile width resolved from `SER_ODC_BLOCK_WORDS` or
-    /// the one-time calibration probe.
+    /// Computes observabilities from a simulated trace, sweeping fixed
+    /// 64-word tiles.
     pub fn compute(circuit: &Circuit, trace: &FrameTrace) -> Self {
-        Self::compute_with_block(circuit, trace, resolve_block_words())
+        Self::compute_with_block(circuit, trace, ODC_BLOCK_WORDS)
     }
 
     /// [`Observability::compute`] with an explicit accumulation tile
@@ -1213,16 +1132,6 @@ mod tests {
                 assert_eq!(o.obs(id), base.obs(id), "block={block} {id}");
             }
         }
-    }
-
-    #[test]
-    fn calibration_and_env_override_resolve_sane_widths() {
-        // The calibration probe must return one of its candidates, and
-        // compute() under any resolution stays bit-identical (covered
-        // by `tile_size_never_changes_results`; this pins the range).
-        let w = calibrate_block_words();
-        assert!([8, 16, 32, 64].contains(&w), "calibrated width {w}");
-        assert!(resolve_block_words() >= 1);
     }
 
     #[test]

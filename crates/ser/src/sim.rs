@@ -267,7 +267,7 @@ impl EvalPlan {
 /// word sub-range is the cache-blocking lever: `step` sweeps stripes
 /// outermost across all levels so the touched lines of the frame stay
 /// L2-resident across a whole pass (see
-/// [`crate::odc::resolve_block_words`]).
+/// [`crate::odc::ODC_BLOCK_WORDS`]).
 pub(crate) fn eval_slots(
     plan: &EvalPlan,
     wps: usize,
@@ -422,7 +422,7 @@ impl FrameTrace {
         // the ODC engine). The threaded path splits slots across
         // workers instead and runs one full-width sweep to keep the
         // spawn count down.
-        let block = crate::odc::resolve_block_words().max(1);
+        let block = crate::odc::ODC_BLOCK_WORDS;
         let sweeps: Vec<(usize, usize)> = if threads <= 1 {
             (0..wps)
                 .step_by(block)

@@ -15,16 +15,15 @@ use std::time::{Duration, Instant};
 
 use minobswin::algorithm::SolverConfig;
 use minobswin::closure_inc::ClosureEngine;
-use minobswin::experiment::{checkpoint_path, Experiment, ExperimentEvent, RunConfig};
-use minobswin::{CancelToken, SolveBudget};
+use minobswin::experiment::{self, checkpoint_path, RunConfig};
+use minobswin::supervisor::ProgressFn;
+use minobswin::{CancelToken, SolveBudget, SolveProgress};
 use netlist::digest::{circuit_digest, format_digest};
 use netlist::parallel::resolve_workers;
 use netlist::{bench_format, Circuit, Levelization, ParseLimits};
-use retime::apply::apply_retiming;
-use retime::RetimeGraph;
 
 use crate::cache::{config_fingerprint, LevelsEntry, ResultCache};
-use crate::job::{ClosureChoice, JobId, JobSpec, JobState, Method, NetlistFormat};
+use crate::job::{ClosureChoice, JobId, JobSpec, JobState, NetlistFormat};
 use crate::json::Json;
 
 /// All jobs are parsed under this circuit name so the canonical text
@@ -133,11 +132,12 @@ pub enum Event {
         /// Whether the levelization stage was a cache hit.
         cached: bool,
     },
-    /// Periodic solver progress.
+    /// Periodic solver progress. A job solves only its own method, so
+    /// all of its iteration events carry that method.
     Iteration {
         /// Job id.
         id: JobId,
-        /// Which method is solving (`"minobs"` / `"minobswin"`).
+        /// The job's method (`"minobs"` / `"minobswin"`).
         method: &'static str,
         /// Total solver iterations so far.
         iterations: usize,
@@ -655,32 +655,26 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     };
 
     let checkpoint_prefix = shared.cache.checkpoint_prefix(&result_key);
-    let progress = {
+    let method = spec.method.name();
+    let progress: Arc<ProgressFn> = {
         let shared = Arc::clone(shared);
         let id = id.to_string();
-        move |event: ExperimentEvent| {
-            if let ExperimentEvent::SolveProgress {
-                method,
-                iterations,
-                commits,
-            } = event
-            {
-                shared.set_state(
-                    &id,
-                    JobState::Running {
-                        method,
-                        iterations,
-                        commits,
-                    },
-                );
-                shared.emit(Event::Iteration {
-                    id: id.clone(),
+        Arc::new(move |p: SolveProgress| {
+            shared.set_state(
+                &id,
+                JobState::Running {
                     method,
-                    iterations,
-                    commits,
-                });
-            }
-        }
+                    iterations: p.iterations,
+                    commits: p.commits,
+                },
+            );
+            shared.emit(Event::Iteration {
+                id: id.clone(),
+                method,
+                iterations: p.iterations,
+                commits: p.commits,
+            });
+        })
     };
     let cfg = RunConfig::default()
         .with_sim(sim)
@@ -688,42 +682,38 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
         .with_budget(budget)
         .with_checkpoint(Some(checkpoint_prefix.clone()))
         .with_resume(true)
-        .with_solver(solver)
-        .with_progress(Arc::new(progress));
+        .with_solver(solver);
 
-    let run = Experiment::new(&circuit).config(cfg).run();
+    // Only the job's own method is solved.
+    let solved = experiment::prepare(&circuit, &cfg).and_then(|prepared| {
+        let solved = experiment::solve(&prepared, &cfg, spec.method, Some(progress))?;
+        Ok((prepared, solved))
+    });
 
-    // Either way the solve is over; drop its checkpoints (a finished
+    // Either way the solve is over; drop its checkpoint (a finished
     // run must not leave resume bait behind).
-    for method in ["minobs", "minobswin"] {
-        let _ = netlist::fio::remove_file(&checkpoint_path(&checkpoint_prefix, method));
-    }
+    let _ = netlist::fio::remove_file(&checkpoint_path(&checkpoint_prefix, method));
 
     let cancel_requested = {
         let st = shared.state.lock().expect("daemon state poisoned");
         st.jobs.get(id).is_some_and(|e| e.cancel_requested)
     };
 
-    let run = match run {
-        Ok(run) => run,
-        Err(e) => {
-            finish(
-                JobState::Failed {
-                    exit: e.exit_code(),
-                    error: e.to_string(),
-                },
-                false,
-                Some(result_key),
-            );
-            return;
-        }
+    let fail = |e: minobswin::SolveError| {
+        finish(
+            JobState::Failed {
+                exit: e.exit_code(),
+                error: e.to_string(),
+            },
+            false,
+            Some(result_key.clone()),
+        );
     };
-
-    let method_result = match spec.method {
-        Method::MinObs => &run.minobs,
-        Method::MinObsWin => &run.minobswin,
+    let (prepared, (solution, seconds)) = match solved {
+        Ok(solved) => solved,
+        Err(e) => return fail(e),
     };
-    if method_result.stats.degradation.budget_stop.is_some() {
+    if solution.stats.degradation.budget_stop.is_some() {
         let state = if cancel_requested {
             JobState::Cancelled
         } else {
@@ -734,35 +724,26 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     }
 
     // Clean completion: rebuild the retimed netlist, cache, done.
-    let rebuilt = RetimeGraph::from_circuit(&circuit, &Default::default())
-        .and_then(|graph| apply_retiming(&circuit, &graph, &method_result.retiming));
-    let rebuilt = match rebuilt {
-        Ok(c) => c,
-        Err(e) => {
-            let error = e.to_string();
-            let exit = minobswin::SolveError::Retime(e).exit_code();
-            finish(JobState::Failed { exit, error }, false, Some(result_key));
-            return;
-        }
+    let evaluated = match experiment::evaluate(&prepared, solution, seconds) {
+        Ok(evaluated) => evaluated,
+        Err(e) => return fail(e),
     };
-    let bench = bench_format::write(&rebuilt);
+    let result = &evaluated.result;
+    let bench = bench_format::write(&evaluated.circuit);
     let meta = Json::obj(vec![
         ("exit", Json::num(0.0)),
-        ("method", Json::str(spec.method.name())),
+        ("method", Json::str(method)),
         ("circuit_key", Json::str(&circuit_key)),
-        ("registers", Json::num(method_result.registers as f64)),
-        ("delta_ff", Json::num(method_result.delta_ff)),
-        ("ser", Json::num(method_result.ser)),
-        ("delta_ser", Json::num(method_result.delta_ser)),
-        ("ser_original", Json::num(run.ser_original)),
-        ("ser_propprob", Json::num(run.ser_propprob)),
-        ("phi", Json::num(run.phi as f64)),
-        ("r_min", Json::num(run.r_min as f64)),
-        (
-            "iterations",
-            Json::num(method_result.stats.iterations as f64),
-        ),
-        ("commits", Json::num(method_result.stats.commits as f64)),
+        ("registers", Json::num(result.registers as f64)),
+        ("delta_ff", Json::num(result.delta_ff)),
+        ("ser", Json::num(result.ser)),
+        ("delta_ser", Json::num(result.delta_ser)),
+        ("ser_original", Json::num(prepared.original.ser)),
+        ("ser_propprob", Json::num(prepared.ser_propprob)),
+        ("phi", Json::num(prepared.init.phi as f64)),
+        ("r_min", Json::num(prepared.r_min as f64)),
+        ("iterations", Json::num(result.stats.iterations as f64)),
+        ("commits", Json::num(result.stats.commits as f64)),
     ]);
     let _ = shared.cache.store_result(&result_key, &bench, &meta);
     finish(JobState::Done, false, Some(result_key));

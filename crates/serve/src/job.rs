@@ -30,38 +30,9 @@ pub fn format_from_name(name: &str) -> Result<NetlistFormat, String> {
         .ok_or_else(|| format!("unknown netlist format `{name}` (use bench, blif or verilog)"))
 }
 
-/// Which optimizer a job runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Method {
-    /// The Efficient MinObs baseline.
-    MinObs,
-    /// MinObsWin (the paper's Algorithm 1; the default).
-    #[default]
-    MinObsWin,
-}
-
-impl Method {
-    /// The protocol name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Method::MinObs => "minobs",
-            Method::MinObsWin => "minobswin",
-        }
-    }
-
-    /// Parses a protocol name.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown method.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "minobs" => Ok(Method::MinObs),
-            "minobswin" => Ok(Method::MinObsWin),
-            other => Err(format!("unknown method `{other}`")),
-        }
-    }
-}
+/// Which optimizer a job runs (the core pipeline's method; its
+/// protocol name is [`Method::name`]).
+pub use minobswin::experiment::Method;
 
 /// Which closure engine a job's solver uses (part of the config
 /// fingerprint; see `cache::config_fingerprint`).

@@ -268,12 +268,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&b) if b < 0x20 => return Err(format!("raw control byte at {}", *pos)),
             Some(_) => {
-                // Copy one UTF-8 scalar (input is a &str, so this is
-                // always a valid boundary walk).
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf-8".to_string())?;
-                let c = s.chars().next().ok_or_else(|| "bad utf-8".to_string())?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run of unescaped bytes up to the next
+                // `"`, `\` or control byte at once. Those stop bytes
+                // are ASCII, so (the input being a &str) both ends of
+                // the run are char boundaries.
+                let start = *pos;
+                while bytes
+                    .get(*pos)
+                    .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+                {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| "bad utf-8".to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -359,6 +367,27 @@ mod tests {
         assert_eq!(v.get("vectors").and_then(Json::as_u64), Some(256));
         let reprinted = v.to_string();
         assert_eq!(Json::parse(&reprinted).unwrap(), v);
+    }
+
+    #[test]
+    fn strings_with_multibyte_text_and_escapes_round_trip() {
+        // Multibyte characters directly next to escapes, and a long
+        // inline `.bench` source as the daemon receives it.
+        let mut source = String::from("# süß → Ω \"quoted\"\tpath\\x\n");
+        for i in 0..5_000 {
+            source.push_str(&format!("g{i} = NAND(a{i}, b{i}) # ✓{i}é\n"));
+        }
+        for text in ["é\n€\"𝄞\\ü", "\u{1}ä", source.as_str()] {
+            let doc = Json::obj(vec![("source", Json::str(text))]);
+            let wire = doc.to_string();
+            let parsed = Json::parse(&wire).unwrap();
+            assert_eq!(parsed.get("source").and_then(Json::as_str), Some(text));
+            assert_eq!(parsed.to_string(), wire);
+        }
+        assert_eq!(
+            Json::parse(r#""a\u00e9\n\ud834\udd1eé\"""#).unwrap(),
+            Json::str("aé\n𝄞é\"")
+        );
     }
 
     #[test]

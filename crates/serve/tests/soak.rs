@@ -114,6 +114,18 @@ fn soak_mixed_corpus_and_real_solves() {
             ids.push(id);
         }
     }
+    // A MinObsWin job whose solve runs long enough to report progress
+    // (every 32 iterations; few registers mean many iterations).
+    let one_solve = bench_format::write(
+        &GeneratorConfig::new("one-solve", 3)
+            .gates(1000)
+            .registers(10)
+            .build(),
+    );
+    daemon
+        .submit(real_spec("real-one-solve", &one_solve))
+        .expect("real job admitted");
+    ids.push("real-one-solve".to_string());
     assert!(ids.len() >= 32, "soak must run ≥32 jobs, got {}", ids.len());
 
     // Every job reaches a terminal state within the deadline.
@@ -180,6 +192,32 @@ fn soak_mixed_corpus_and_real_solves() {
     );
     // Terminal jobs leave no recovery files behind.
     assert!(daemon.cache().scan_jobs().is_empty());
+
+    // One solve per job: the MinObsWin job's progress is MinObsWin's
+    // alone, and it never wrote a MinObs checkpoint.
+    let methods: Vec<&str> = collected
+        .iter()
+        .filter_map(|e| match e {
+            Event::Iteration { id, method, .. } if id == "real-one-solve" => Some(*method),
+            _ => None,
+        })
+        .collect();
+    assert!(!methods.is_empty(), "the solve reported no progress");
+    assert!(
+        methods.iter().all(|m| *m == "minobswin"),
+        "a MinObsWin job solved another method: {methods:?}"
+    );
+    let key = collected
+        .iter()
+        .find_map(|e| match e {
+            Event::Terminal {
+                id, key: Some(key), ..
+            } if id == "real-one-solve" => Some(key.clone()),
+            _ => None,
+        })
+        .expect("the job's terminal event carries its result key");
+    let jobs = daemon.cache().root().join("jobs");
+    assert!(!jobs.join(format!("{key}.minobs.ckpt")).exists());
     let _ = std::fs::remove_dir_all(daemon.cache().root());
 }
 

@@ -5,7 +5,7 @@
 //! cargo run -p minobswin-bench --example quickstart [path/to/circuit.bench]
 //! ```
 
-use minobswin::experiment::{Experiment, RunConfig};
+use minobswin::experiment::{self, RunConfig};
 use netlist::generator::GeneratorConfig;
 use netlist::{bench_format, Circuit};
 
@@ -24,9 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("circuit: {circuit}");
 
-    let run = Experiment::new(&circuit)
-        .config(RunConfig::default())
-        .run()?;
+    let run = experiment::run(&circuit, &RunConfig::default())?;
     println!(
         "\nperiod constraint Phi = {} ({}), R_min = {}",
         run.phi,

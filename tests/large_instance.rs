@@ -13,7 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use bench_harness::solver_bench;
-use minobswin::experiment::{Experiment, RunConfig};
+use minobswin::experiment::{self, RunConfig};
 use minobswin::{SolveBudget, SolveError};
 use netlist::digest::{circuit_digest, content_digest};
 use netlist::{bench_format, ParseLimits};
@@ -205,10 +205,11 @@ fn ten_k_tier_completes_end_to_end_under_a_memory_cap() {
     let budget = SolveBudget::new()
         .with_max_iterations(Some(40))
         .with_max_memory_estimate(Some(256 << 20));
-    let run = Experiment::new(&circuit)
-        .config(RunConfig::small().with_sim(sim).with_budget(budget))
-        .run()
-        .expect("10k tier must complete under the memory cap");
+    let run = experiment::run(
+        &circuit,
+        &RunConfig::small().with_sim(sim).with_budget(budget),
+    )
+    .expect("10k tier must complete under the memory cap");
     assert_eq!(run.name, "generated_10k");
     assert!(run.v >= 10_000, "|V| = {}", run.v);
     assert!(run.ser_original > 0.0);
@@ -237,10 +238,11 @@ fn fifty_k_tier_completes_end_to_end_under_a_memory_cap() {
     let budget = SolveBudget::new()
         .with_max_iterations(Some(40))
         .with_max_memory_estimate(Some(1 << 30));
-    let run = Experiment::new(&circuit)
-        .config(RunConfig::small().with_sim(sim).with_budget(budget))
-        .run()
-        .expect("50k tier must complete under the memory cap");
+    let run = experiment::run(
+        &circuit,
+        &RunConfig::small().with_sim(sim).with_budget(budget),
+    )
+    .expect("50k tier must complete under the memory cap");
     assert_eq!(run.name, "generated_50k");
     assert!(run.v >= 50_000, "|V| = {}", run.v);
     assert!(run.ser_original > 0.0);
@@ -256,9 +258,7 @@ fn fifty_k_tier_completes_end_to_end_under_a_memory_cap() {
 fn ten_k_tier_over_tight_memory_cap_fails_structurally() {
     let circuit = netlist::read_path(fixture_path(), &ParseLimits::default()).unwrap();
     let budget = SolveBudget::new().with_max_memory_estimate(Some(1 << 20));
-    let err = Experiment::new(&circuit)
-        .config(RunConfig::small().with_budget(budget))
-        .run()
+    let err = experiment::run(&circuit, &RunConfig::small().with_budget(budget))
         .expect_err("1 MiB cannot hold the 10k data plane");
     match &err {
         SolveError::Initialization(msg) => {

@@ -1,7 +1,7 @@
 //! Cross-crate integration: netlist → retiming graph → SER analysis →
 //! MinObsWin → rebuilt netlist, checking end-to-end invariants.
 
-use minobswin::experiment::{Experiment, RunConfig};
+use minobswin::experiment::{self, RunConfig};
 use netlist::generator::GeneratorConfig;
 use netlist::{bench_format, blif, samples, DelayModel};
 use retime::apply::apply_retiming;
@@ -22,10 +22,7 @@ fn full_pipeline_on_generated_circuit() {
         .outputs(12)
         .target_edges(660)
         .build();
-    let run = Experiment::new(&circuit)
-        .config(small_run())
-        .run()
-        .expect("pipeline runs");
+    let run = experiment::run(&circuit, &small_run()).expect("pipeline runs");
 
     // The rebuilt netlists are valid circuits with positive SER.
     assert!(run.minobs.ser > 0.0);
@@ -41,10 +38,7 @@ fn retimed_circuits_meet_their_period() {
         .gates(200)
         .registers(40)
         .build();
-    let run = Experiment::new(&circuit)
-        .config(small_run())
-        .run()
-        .expect("runs");
+    let run = experiment::run(&circuit, &small_run()).expect("runs");
     let delays = DelayModel::default();
     for (label, method) in [("minobs", &run.minobs), ("minobswin", &run.minobswin)] {
         let graph = RetimeGraph::from_circuit(&circuit, &delays).expect("graph");
@@ -68,10 +62,7 @@ fn minobswin_never_loses_to_minobs_on_its_own_objective() {
             .gates(150)
             .registers(30)
             .build();
-        let run = Experiment::new(&circuit)
-            .config(small_run())
-            .run()
-            .expect("runs");
+        let run = experiment::run(&circuit, &small_run()).expect("runs");
         // Register observability is what the objective models; compare
         // the measured registers count as a proxy sanity check only.
         assert!(run.minobs.registers > 0 && run.minobswin.registers > 0);
@@ -85,14 +76,8 @@ fn bench_round_trip_preserves_experiment() {
     let circuit = samples::s27_like();
     let text = bench_format::write(&circuit);
     let reparsed = bench_format::parse(&text, "s27_like").expect("parse");
-    let a = Experiment::new(&circuit)
-        .config(small_run())
-        .run()
-        .expect("original");
-    let b = Experiment::new(&reparsed)
-        .config(small_run())
-        .run()
-        .expect("reparsed");
+    let a = experiment::run(&circuit, &small_run()).expect("original");
+    let b = experiment::run(&reparsed, &small_run()).expect("reparsed");
     assert_eq!(a.ser_original, b.ser_original);
     assert_eq!(a.minobswin.ser, b.minobswin.ser);
 }
@@ -102,14 +87,8 @@ fn blif_round_trip_preserves_experiment() {
     let circuit = samples::s27_like();
     let text = blif::write(&circuit);
     let reparsed = blif::parse(&text).expect("parse");
-    let a = Experiment::new(&circuit)
-        .config(small_run())
-        .run()
-        .expect("original");
-    let b = Experiment::new(&reparsed)
-        .config(small_run())
-        .run()
-        .expect("reparsed");
+    let a = experiment::run(&circuit, &small_run()).expect("original");
+    let b = experiment::run(&reparsed, &small_run()).expect("reparsed");
     assert_eq!(a.ser_original, b.ser_original);
 }
 
@@ -118,10 +97,7 @@ fn retimed_circuit_reanalysis_is_consistent() {
     // Analyzing the rebuilt netlist directly gives the same SER the
     // experiment reported.
     let circuit = samples::pipeline(9, 3);
-    let run = Experiment::new(&circuit)
-        .config(small_run())
-        .run()
-        .expect("runs");
+    let run = experiment::run(&circuit, &small_run()).expect("runs");
     let delays = DelayModel::default();
     let graph = RetimeGraph::from_circuit(&circuit, &delays).expect("graph");
     let rebuilt = apply_retiming(&circuit, &graph, &run.minobswin.retiming).expect("apply");
