@@ -10,7 +10,8 @@
 //!   --out FILE                       write the (MinObsWin) retimed netlist
 //!                                    (format from the extension)
 //!   --report FILE.csv                append a CSV result row
-//!   --vectors K  --frames N          simulation size (default 1024 / 15)
+//!   --vectors K  --frames N          simulation size (default 1024 / 15;
+//!                                    K a positive multiple of 64, N >= 1)
 //!   --seed S                         stimulus seed
 //!   --threads T                      worker threads (see "Thread counts")
 //!   --r-min R                        override the §V-derived R_min bound
@@ -31,10 +32,12 @@
 //!   Monte-Carlo SEU campaign cross-validating the analytic SER model,
 //!   before and after retiming (see crates/faultsim).
 //!
-//!   --injections N                   strikes per campaign (default 100000)
+//!   --injections N                   strikes per campaign (> 0; default
+//!                                    100000)
 //!   --method minobs|minobswin        retiming to score (default minobswin)
 //!   --campaign-seed S                injection sampling seed
 //!   --pulse-width F                  transient width in delay units
+//!                                    (>= 0; default 0)
 //!   --tolerance F                    relative CI widening (default 0.05)
 //!   --vectors K  --frames N  --seed S  --threads T   as above (the one
 //!                                    pool size drives both the campaign and
@@ -115,7 +118,9 @@
 //!   --queue N                        admission bound on waiting jobs
 //!                                    (default 64; over it: backpressure)
 //!   --time-budget SECS               default per-job wall-clock budget
+//!                                    (> 0)
 //!   --max-iters N                    default per-job iteration budget
+//!                                    (> 0)
 //!   --cache-max-bytes SIZE           LRU-evict cache stages past SIZE
 //!                                    (plain bytes or k/m/g suffix)
 //!   --fsck                           run one cache-integrity pass (remove
@@ -134,7 +139,8 @@
 //!   --gates N,N,...                  generated circuit sizes (default 400,1500)
 //!   --tier small|large|xlarge        named size tier, as for bench-solve
 //!   --samples-only                   skip the generated circuits
-//!   --vectors K  --frames N          simulation size (default 1024 / 15)
+//!   --vectors K  --frames N          simulation size (default 1024 / 15;
+//!                                    K a positive multiple of 64, N >= 1)
 //!   --threads T                      threaded column's pool size (see
 //!                                    "Thread counts")
 //! ```
@@ -153,13 +159,17 @@
 //! # Exit codes
 //!
 //! Exit codes are stable: 0 = success, 1 = infeasible instance,
-//! 2 = I/O or usage error, 3 = internal error (e.g. iteration limit),
-//! 4 = a solve budget expired and a degraded (but feasible) result was
-//! emitted.
+//! 2 = I/O or usage error (an unknown flag, or a flag value outside the
+//! range stated above, such as `--vectors 100`), 3 = internal error
+//! (e.g. iteration limit), 4 = a solve budget expired and a degraded
+//! (but feasible) result was emitted. Every subcommand parses its
+//! arguments with `bench_harness::cli`.
 
 use std::path::Path;
 use std::process::ExitCode;
 
+use bench_harness::cli::{self, BenchFlags, BudgetFlags, CampaignFlags, Parsed, SimFlags};
+use bench_harness::ser_bench::BenchSerConfig;
 use faultsim::{
     advise, check_agreement, run_campaign, CampaignConfig, CrossCheck, HardenConfig,
     MonteCarloEstimator, ToleranceBands, DEFAULT_TOLERANCE,
@@ -244,16 +254,17 @@ impl From<EstimateError> for CliError {
 const EXIT_DEGRADED: u8 = 4;
 
 fn main() -> ExitCode {
-    let subcommand = std::env::args().nth(1);
-    let result = match subcommand.as_deref() {
-        Some("estimate") => run_estimate(),
-        Some("harden") => run_harden(),
-        Some("fault-sim") => run_fault_sim(),
-        Some("bench-solve") => run_bench_solve(),
-        Some("bench-ser") => run_bench_ser(),
-        Some("serve") => run_serve(),
-        Some("solve") => run(true),
-        _ => run(false),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = || args[1..].to_vec();
+    let result = match args.first().map(String::as_str) {
+        Some("estimate") => dispatch(parse_estimate(rest(), ESTIMATE_USAGE), run_estimate),
+        Some("harden") => dispatch(parse_estimate(rest(), HARDEN_USAGE), run_harden),
+        Some("fault-sim") => dispatch(parse_fault_sim(rest()), run_fault_sim),
+        Some("bench-solve") => dispatch(parse_bench_solve(rest()), run_bench_solve),
+        Some("bench-ser") => dispatch(parse_bench_ser(rest()), run_bench_ser),
+        Some("serve") => dispatch(parse_serve(rest()), run_serve),
+        Some("solve") => dispatch(parse_solve(rest()), run_solve),
+        _ => dispatch(parse_solve(args.clone()), run_solve),
     };
     match result {
         Ok(code) => ExitCode::from(code),
@@ -264,125 +275,19 @@ fn main() -> ExitCode {
     }
 }
 
-struct Options {
-    input: String,
-    method: String,
-    out: Option<String>,
-    report: Option<String>,
-    vectors: usize,
-    frames: usize,
-    seed: u64,
-    threads: usize,
-    r_min: Option<i64>,
-    equiv: bool,
-    time_budget: Option<f64>,
-    max_iters: Option<usize>,
-    checkpoint: Option<String>,
-    resume: bool,
-}
-
-fn parse_args(skip_subcommand: bool) -> Result<Options, String> {
-    let mut args = std::env::args().skip(if skip_subcommand { 2 } else { 1 });
-    let mut options = Options {
-        input: String::new(),
-        method: "both".into(),
-        out: None,
-        report: None,
-        vectors: 1024,
-        frames: 15,
-        seed: 0xC0FFEE,
-        threads: 0,
-        r_min: None,
-        equiv: true,
-        time_budget: None,
-        max_iters: None,
-        checkpoint: None,
-        resume: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--method" => options.method = args.next().ok_or("--method needs a value")?,
-            "--out" => options.out = Some(args.next().ok_or("--out needs a path")?),
-            "--report" => options.report = Some(args.next().ok_or("--report needs a path")?),
-            "--vectors" => {
-                options.vectors = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--vectors needs a positive integer")?
-            }
-            "--frames" => {
-                options.frames = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--frames needs a positive integer")?
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs an integer")?
-            }
-            "--threads" | "--workers" => {
-                options.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a non-negative integer")?
-            }
-            "--r-min" => {
-                options.r_min = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--r-min needs an integer")?,
-                )
-            }
-            "--no-equiv" => options.equiv = false,
-            "--time-budget" => {
-                let secs: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--time-budget needs a number of seconds")?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err("--time-budget needs a non-negative number".into());
-                }
-                options.time_budget = Some(secs);
-            }
-            "--max-iters" => {
-                options.max_iters = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--max-iters needs a non-negative integer")?,
-                )
-            }
-            "--checkpoint" => {
-                options.checkpoint = Some(args.next().ok_or("--checkpoint needs a path")?)
-            }
-            "--resume" => options.resume = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: retimer [solve] INPUT[.bench|.blif|.v] \
-                     [--method minobs|minobswin|both] \
-                     [--out FILE] [--report FILE.csv] [--vectors K] [--frames N] \
-                     [--seed S] [--threads T] [--r-min R] [--no-equiv] \
-                     [--time-budget SECS] [--max-iters N] [--checkpoint PATH] [--resume]"
-                );
-                std::process::exit(0);
-            }
-            other if options.input.is_empty() && !other.starts_with('-') => {
-                options.input = other.to_string();
-            }
-            other => return Err(format!("unknown argument `{other}`")),
+/// Runs a subcommand on its parsed options, or prints the usage
+/// `--help` asked for.
+fn dispatch<T>(
+    parsed: Result<Parsed<T>, String>,
+    run: fn(T) -> Result<u8, CliError>,
+) -> Result<u8, CliError> {
+    match parsed? {
+        Parsed::Run(options) => run(options),
+        Parsed::Help(usage) => {
+            eprintln!("{usage}");
+            Ok(0)
         }
     }
-    if options.input.is_empty() {
-        return Err("missing input netlist (try --help)".into());
-    }
-    if !matches!(options.method.as_str(), "minobs" | "minobswin" | "both") {
-        return Err(format!("unknown method `{}`", options.method));
-    }
-    if options.resume && options.checkpoint.is_none() {
-        return Err("--resume requires --checkpoint PATH".into());
-    }
-    Ok(options)
 }
 
 /// Reads the input netlist through the unified, streaming front door
@@ -405,33 +310,79 @@ fn write_netlist(circuit: &Circuit, path: &str) -> Result<(), NetlistError> {
     }
 }
 
-fn run(skip_subcommand: bool) -> Result<u8, CliError> {
-    let options = parse_args(skip_subcommand)?;
+const SOLVE_USAGE: &str = "usage: retimer [solve] INPUT[.bench|.blif|.v] \
+     [--method minobs|minobswin|both] \
+     [--out FILE] [--report FILE.csv] [--vectors K] [--frames N] \
+     [--seed S] [--threads T] [--r-min R] [--no-equiv] \
+     [--time-budget SECS] [--max-iters N] [--checkpoint PATH] [--resume]";
+
+#[derive(Debug)]
+struct SolveOptions {
+    input: String,
+    method: Option<Method>,
+    out: Option<String>,
+    report: Option<String>,
+    sim: SimConfig,
+    r_min: Option<i64>,
+    equiv: bool,
+    budget: SolveBudget,
+    checkpoint: Option<String>,
+    resume: bool,
+}
+
+fn parse_solve(tokens: Vec<String>) -> Result<Parsed<SolveOptions>, String> {
+    let (mut input, mut method, mut out, mut report) = (String::new(), None, None, None);
+    let (mut r_min, mut equiv, mut checkpoint, mut resume) = (None, true, None, false);
+    let (mut sim, mut budget) = (SimFlags::default(), BudgetFlags::default());
+    if let Parsed::Help(usage) = cli::walk(tokens, SOLVE_USAGE, Some(&mut input), |flag, args| {
+        match flag {
+            "--method" => method = cli::method(flag, args)?,
+            "--out" => out = Some(args.text(flag, "a path")?),
+            "--report" => report = Some(args.text(flag, "a path")?),
+            "--r-min" => r_min = Some(args.value(flag, "an integer")?),
+            "--no-equiv" => equiv = false,
+            "--checkpoint" => checkpoint = Some(args.text(flag, "a path")?),
+            "--resume" => resume = true,
+            _ => return Ok(sim.take(flag, args)? || budget.take(flag, args)?),
+        }
+        Ok(true)
+    })? {
+        return Ok(Parsed::Help(usage));
+    }
+    if resume && checkpoint.is_none() {
+        return Err("--resume requires --checkpoint PATH".into());
+    }
+    Ok(Parsed::Run(SolveOptions {
+        input,
+        method,
+        out,
+        report,
+        sim: sim.finish()?,
+        r_min,
+        equiv,
+        budget: budget.budget(),
+        checkpoint,
+        resume,
+    }))
+}
+
+fn run_solve(options: SolveOptions) -> Result<u8, CliError> {
     let circuit = read_netlist(&options.input)?;
     eprintln!("read {circuit}");
 
-    let budget = SolveBudget::new()
-        .with_wall_time(options.time_budget.map(std::time::Duration::from_secs_f64))
-        .with_max_iterations(options.max_iters);
     let config = RunConfig::default()
-        .with_sim(SimConfig {
-            num_vectors: options.vectors,
-            frames: options.frames,
-            warmup: 16,
-            seed: options.seed,
-            threads: options.threads,
-        })
+        .with_sim(options.sim)
         .with_r_min_override(options.r_min)
-        .with_budget(budget)
+        .with_budget(options.budget)
         .with_checkpoint(options.checkpoint.as_ref().map(std::path::PathBuf::from))
         .with_resume(options.resume);
     let prepared = experiment::prepare(&circuit, &config)?;
     // One solve per method asked for; the CSV row needs both columns
     // and their ratio.
-    let both = options.method == "both" || options.report.is_some();
+    let both = options.method.is_none() || options.report.is_some();
     let mut evaluated: Vec<(&str, Evaluated)> = Vec::new();
     for method in [Method::MinObs, Method::MinObsWin] {
-        if both || options.method == method.name() {
+        if both || options.method == Some(method) {
             let (solution, seconds) = experiment::solve(&prepared, &config, method, None)?;
             let retimed = experiment::evaluate(&prepared, solution, seconds)?;
             evaluated.push((method.name(), retimed));
@@ -456,7 +407,7 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
     // The methods the user asked for, MinObsWin last.
     let shown: Vec<&(&str, Evaluated)> = evaluated
         .iter()
-        .filter(|(name, _)| options.method == "both" || options.method == *name)
+        .filter(|(name, _)| options.method.is_none_or(|m| m.name() == *name))
         .collect();
     for (name, retimed) in &shown {
         let m = &retimed.result;
@@ -476,7 +427,7 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
         }
         _ => None,
     };
-    if let (Some(row), "both") = (&row, options.method.as_str()) {
+    if let (Some(row), None) = (&row, options.method) {
         println!("SER_ref / SER_new = {:.0}%", row.ser_ratio() * 100.0);
     }
 
@@ -521,133 +472,67 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
     Ok(0)
 }
 
+const FAULT_SIM_USAGE: &str = "usage: retimer fault-sim INPUT[.bench|.blif|.v] [--injections N] \
+     [--method minobs|minobswin] [--campaign-seed S] \
+     [--pulse-width F] [--tolerance F] [--vectors K] [--frames N] \
+     [--seed S] [--threads T]";
+
+#[derive(Debug)]
 struct FaultSimOptions {
     input: String,
-    injections: u64,
     method: Method,
-    campaign_seed: u64,
-    pulse_width: f64,
     tolerance: f64,
-    vectors: usize,
-    frames: usize,
-    seed: u64,
-    threads: usize,
+    sim: SimConfig,
+    campaign: CampaignConfig,
 }
 
-fn parse_fault_sim_args() -> Result<FaultSimOptions, String> {
-    let mut args = std::env::args().skip(2); // binary name + "fault-sim"
-    let mut options = FaultSimOptions {
-        input: String::new(),
-        injections: 100_000,
-        method: Method::MinObsWin,
-        campaign_seed: 0x5EED_FA17,
-        pulse_width: 0.0,
-        tolerance: DEFAULT_TOLERANCE,
-        vectors: 1024,
-        frames: 15,
-        seed: 0xC0FFEE,
-        threads: 0,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--injections" => {
-                options.injections = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--injections needs a positive integer")?
+fn parse_fault_sim(tokens: Vec<String>) -> Result<Parsed<FaultSimOptions>, String> {
+    let (mut input, mut method, mut pulse_width) = (String::new(), Method::MinObsWin, 0.0);
+    let (mut sim, mut campaign) = (SimFlags::default(), CampaignFlags::default());
+    if let Parsed::Help(usage) =
+        cli::walk(tokens, FAULT_SIM_USAGE, Some(&mut input), |flag, args| {
+            match flag {
+                "--method" => {
+                    method = cli::method(flag, args)?
+                        .ok_or("fault-sim scores one retiming: use --method minobs or minobswin")?
+                }
+                "--pulse-width" => {
+                    pulse_width = args.value_if(flag, "a non-negative number", |w: &f64| {
+                        w.is_finite() && *w >= 0.0
+                    })?
+                }
+                _ => return Ok(sim.take(flag, args)? || campaign.take(flag, args)?),
             }
-            "--method" => {
-                options.method = Method::from_name(&args.next().ok_or("--method needs a value")?)?
-            }
-            "--campaign-seed" => {
-                options.campaign_seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--campaign-seed needs an integer")?
-            }
-            "--pulse-width" => {
-                options.pulse_width = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--pulse-width needs a number")?
-            }
-            "--tolerance" => {
-                options.tolerance = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--tolerance needs a number")?
-            }
-            "--vectors" => {
-                options.vectors = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--vectors needs a positive integer")?
-            }
-            "--frames" => {
-                options.frames = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--frames needs a positive integer")?
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs an integer")?
-            }
-            "--threads" | "--workers" => {
-                options.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a non-negative integer")?
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: retimer fault-sim INPUT[.bench|.blif|.v] [--injections N] \
-                     [--method minobs|minobswin] [--campaign-seed S] \
-                     [--pulse-width F] [--tolerance F] [--vectors K] [--frames N] \
-                     [--seed S] [--threads T]"
-                );
-                std::process::exit(0);
-            }
-            other if options.input.is_empty() && !other.starts_with('-') => {
-                options.input = other.to_string();
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
+            Ok(true)
+        })?
+    {
+        return Ok(Parsed::Help(usage));
     }
-    if options.input.is_empty() {
-        return Err("missing input netlist (try `retimer fault-sim --help`)".into());
-    }
-    Ok(options)
+    let sim = sim.finish()?;
+    Ok(Parsed::Run(FaultSimOptions {
+        input,
+        method,
+        tolerance: campaign.tolerance.unwrap_or(DEFAULT_TOLERANCE),
+        campaign: campaign.config(sim.threads).with_pulse_width(pulse_width),
+        sim,
+    }))
 }
 
 /// Scores a circuit with a Monte-Carlo injection campaign before and
 /// after retiming, cross-checking each campaign against the analytic
 /// model.
-fn run_fault_sim() -> Result<u8, CliError> {
-    let options = parse_fault_sim_args()?;
+fn run_fault_sim(options: FaultSimOptions) -> Result<u8, CliError> {
     let circuit = read_netlist(&options.input)?;
     eprintln!("read {circuit}");
 
-    let config = RunConfig::default().with_sim(SimConfig {
-        num_vectors: options.vectors,
-        frames: options.frames,
-        warmup: 16,
-        seed: options.seed,
-        threads: options.threads,
-    });
+    let config = RunConfig::default().with_sim(options.sim);
     let prepared = experiment::prepare(&circuit, &config)?;
     let (solution, seconds) = experiment::solve(&prepared, &config, options.method, None)?;
     let retimed = experiment::evaluate(&prepared, solution, seconds)?;
     let ser_config = &prepared.ser_config;
-    let campaign_config = CampaignConfig::new(options.injections)
-        .with_seed(options.campaign_seed)
-        .with_workers(options.threads)
-        .with_pulse_width(options.pulse_width);
 
     let score = |label: &str, c: &Circuit, report: &SerReport| -> Result<f64, CliError> {
-        let campaign = run_campaign(c, ser_config, &campaign_config)?;
+        let campaign = run_campaign(c, ser_config, &options.campaign)?;
         let check = CrossCheck::compare(c, report, &campaign, options.tolerance);
         println!("== {label} ==");
         print!("{}", check.summary());
@@ -689,164 +574,81 @@ fn run_fault_sim() -> Result<u8, CliError> {
     Ok(0)
 }
 
-/// Options shared by the `estimate` and `harden` subcommands: one
-/// circuit, one simulation size, one campaign size, one Φ policy.
+const ESTIMATE_USAGE: &str = "usage: retimer estimate INPUT[.bench|.blif|.v] \
+     [--engine analytic|montecarlo|propprob|exact|all] [--injections N] \
+     [--campaign-seed S] [--tolerance F] [--max-source-bits B] [--phi P] \
+     [--vectors K] [--frames N] [--seed S] [--threads T]";
+
+const HARDEN_USAGE: &str = "usage: retimer harden INPUT[.bench|.blif|.v] \
+     [--area-budget F] [--hardening-factor F] [--area-overhead F] \
+     [--max-picks N] [--plan FILE.csv] [--no-validate] [--injections N] \
+     [--campaign-seed S] [--phi P] [--vectors K] [--frames N] [--seed S] \
+     [--threads T]";
+
+/// Options of `retimer estimate` and `retimer harden`: one circuit,
+/// one simulation, one campaign, one Φ policy. Both commands accept
+/// every flag here.
+#[derive(Debug)]
 struct EstimateOptions {
     input: String,
     engine: String,
-    injections: u64,
-    campaign_seed: u64,
     tolerance: Option<f64>,
     max_source_bits: u32,
     phi: Option<i64>,
-    area_budget: f64,
-    hardening_factor: f64,
-    area_overhead: f64,
-    max_picks: usize,
+    harden: HardenConfig,
     plan: Option<String>,
     validate: bool,
-    vectors: usize,
-    frames: usize,
-    seed: u64,
-    threads: usize,
+    sim: SimConfig,
+    campaign: CampaignConfig,
 }
 
-fn parse_estimate_args(usage: &str) -> Result<EstimateOptions, String> {
-    let mut args = std::env::args().skip(2); // binary name + subcommand
-    let mut options = EstimateOptions {
-        input: String::new(),
-        engine: "all".into(),
-        injections: 100_000,
-        campaign_seed: 0x5EED_FA17,
-        tolerance: None,
-        max_source_bits: DEFAULT_MAX_SOURCE_BITS,
-        phi: None,
-        area_budget: 0.1,
-        hardening_factor: 0.1,
-        area_overhead: 1.0,
-        max_picks: 0,
-        plan: None,
-        validate: true,
-        vectors: 1024,
-        frames: 15,
-        seed: 0xC0FFEE,
-        threads: 0,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--engine" => options.engine = args.next().ok_or("--engine needs a value")?,
-            "--injections" => {
-                options.injections = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--injections needs a positive integer")?
-            }
-            "--campaign-seed" => {
-                options.campaign_seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--campaign-seed needs an integer")?
-            }
-            "--tolerance" => {
-                let tol: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--tolerance needs a number")?;
-                if !tol.is_finite() || tol < 0.0 {
-                    return Err("--tolerance needs a non-negative number".into());
-                }
-                options.tolerance = Some(tol);
-            }
-            "--max-source-bits" => {
-                options.max_source_bits = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--max-source-bits needs a positive integer")?
-            }
-            "--phi" => {
-                options.phi = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&phi: &i64| phi > 0)
-                        .ok_or("--phi needs a positive integer")?,
-                )
-            }
+fn parse_estimate(
+    tokens: Vec<String>,
+    usage: &'static str,
+) -> Result<Parsed<EstimateOptions>, String> {
+    let (mut input, mut engine, mut phi) = (String::new(), String::from("all"), None);
+    let (mut max_source_bits, mut harden) = (DEFAULT_MAX_SOURCE_BITS, HardenConfig::default());
+    let (mut plan, mut validate) = (None, true);
+    let (mut sim, mut campaign) = (SimFlags::default(), CampaignFlags::default());
+    let fraction = |f: &f64| (0.0..=1.0).contains(f);
+    if let Parsed::Help(usage) = cli::walk(tokens, usage, Some(&mut input), |flag, args| {
+        match flag {
+            "--engine" => engine = args.text(flag, "a value")?,
+            "--max-source-bits" => max_source_bits = args.value(flag, "a positive integer")?,
+            "--phi" => phi = Some(args.value_if(flag, "a positive integer", |&p: &i64| p > 0)?),
             "--area-budget" => {
-                let budget: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--area-budget needs a number")?;
-                if !(0.0..=1.0).contains(&budget) {
-                    return Err("--area-budget is a fraction in [0, 1]".into());
-                }
-                options.area_budget = budget;
+                harden.area_budget = args.value_if(flag, "a fraction in [0, 1]", fraction)?
             }
             "--hardening-factor" => {
-                let factor: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--hardening-factor needs a number")?;
-                if !(0.0..=1.0).contains(&factor) {
-                    return Err("--hardening-factor is a fraction in [0, 1]".into());
-                }
-                options.hardening_factor = factor;
+                harden.hardening_factor = args.value_if(flag, "a fraction in [0, 1]", fraction)?
             }
             "--area-overhead" => {
-                let overhead: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--area-overhead needs a number")?;
-                if !overhead.is_finite() || overhead <= 0.0 {
-                    return Err("--area-overhead needs a positive number".into());
-                }
-                options.area_overhead = overhead;
+                harden.area_overhead = args.value_if(flag, "a positive number", |o: &f64| {
+                    o.is_finite() && *o > 0.0
+                })?
             }
-            "--max-picks" => {
-                options.max_picks = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--max-picks needs a non-negative integer")?
-            }
-            "--plan" => options.plan = Some(args.next().ok_or("--plan needs a path")?),
-            "--no-validate" => options.validate = false,
-            "--vectors" => {
-                options.vectors = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--vectors needs a positive integer")?
-            }
-            "--frames" => {
-                options.frames = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--frames needs a positive integer")?
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs an integer")?
-            }
-            "--threads" | "--workers" => {
-                options.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a non-negative integer")?
-            }
-            "--help" | "-h" => {
-                eprintln!("{usage}");
-                std::process::exit(0);
-            }
-            other if options.input.is_empty() && !other.starts_with('-') => {
-                options.input = other.to_string();
-            }
-            other => return Err(format!("unknown argument `{other}`")),
+            "--max-picks" => harden.max_picks = args.value(flag, "a non-negative integer")?,
+            "--plan" => plan = Some(args.text(flag, "a path")?),
+            "--no-validate" => validate = false,
+            _ => return Ok(sim.take(flag, args)? || campaign.take(flag, args)?),
         }
+        Ok(true)
+    })? {
+        return Ok(Parsed::Help(usage));
     }
-    if options.input.is_empty() {
-        return Err(format!("missing input netlist\n{usage}"));
-    }
-    Ok(options)
+    let sim = sim.finish()?;
+    Ok(Parsed::Run(EstimateOptions {
+        input,
+        engine,
+        tolerance: campaign.tolerance,
+        max_source_bits,
+        phi,
+        harden,
+        plan,
+        validate,
+        campaign: campaign.config(sim.threads),
+        sim,
+    }))
 }
 
 /// Builds the one [`SerConfig`] the estimation subcommands share: the
@@ -865,13 +667,7 @@ fn build_estimate_config(
         }
     };
     Ok(SerConfig {
-        sim: SimConfig {
-            num_vectors: options.vectors,
-            frames: options.frames,
-            warmup: 16,
-            seed: options.seed,
-            threads: options.threads,
-        },
+        sim: options.sim,
         delays: defaults.delays.clone(),
         rates: defaults.rates.clone(),
         elw: ElwParams {
@@ -897,21 +693,14 @@ fn print_estimate(estimate: &SerEstimate) {
 
 /// `retimer estimate`: one engine, or all of them under the three-way
 /// agreement oracle.
-fn run_estimate() -> Result<u8, CliError> {
-    const USAGE: &str = "usage: retimer estimate INPUT[.bench|.blif|.v] \
-         [--engine analytic|montecarlo|propprob|exact|all] [--injections N] \
-         [--campaign-seed S] [--tolerance F] [--max-source-bits B] [--phi P] \
-         [--vectors K] [--frames N] [--seed S] [--threads T]";
-    let options = parse_estimate_args(USAGE)?;
+fn run_estimate(options: EstimateOptions) -> Result<u8, CliError> {
     let circuit = read_netlist(&options.input)?;
     eprintln!("read {circuit}");
     let ser_config = build_estimate_config(&circuit, &options)?;
     println!("Phi = {}", ser_config.elw.phi);
 
     let montecarlo = MonteCarloEstimator {
-        campaign: CampaignConfig::new(options.injections)
-            .with_seed(options.campaign_seed)
-            .with_workers(options.threads),
+        campaign: options.campaign.clone(),
     };
     if options.engine == "all" {
         let bands = options
@@ -963,28 +752,13 @@ fn run_estimate() -> Result<u8, CliError> {
 
 /// `retimer harden`: rank cells by hardening payoff, spend the area
 /// budget, validate with a same-seed campaign.
-fn run_harden() -> Result<u8, CliError> {
-    const USAGE: &str = "usage: retimer harden INPUT[.bench|.blif|.v] \
-         [--area-budget F] [--hardening-factor F] [--area-overhead F] \
-         [--max-picks N] [--plan FILE.csv] [--no-validate] [--injections N] \
-         [--campaign-seed S] [--phi P] [--vectors K] [--frames N] [--seed S] \
-         [--threads T]";
-    let options = parse_estimate_args(USAGE)?;
+fn run_harden(options: EstimateOptions) -> Result<u8, CliError> {
     let circuit = read_netlist(&options.input)?;
     eprintln!("read {circuit}");
     let ser_config = build_estimate_config(&circuit, &options)?;
     println!("Phi = {}", ser_config.elw.phi);
 
-    let campaign = CampaignConfig::new(options.injections)
-        .with_seed(options.campaign_seed)
-        .with_workers(options.threads);
-    let harden = HardenConfig {
-        area_budget: options.area_budget,
-        hardening_factor: options.hardening_factor,
-        area_overhead: options.area_overhead,
-        max_picks: options.max_picks,
-    };
-    let plan = advise(&circuit, &ser_config, &campaign, &harden)?;
+    let plan = advise(&circuit, &ser_config, &options.campaign, &options.harden)?;
     print!("{}", plan.summary());
 
     if let Some(path) = &options.plan {
@@ -992,7 +766,7 @@ fn run_harden() -> Result<u8, CliError> {
         println!("wrote {path}");
     }
     if options.validate && !plan.selected().is_empty() {
-        let (before, after) = plan.validate(&circuit, &ser_config, &campaign)?;
+        let (before, after) = plan.validate(&circuit, &ser_config, &options.campaign)?;
         println!(
             "validation: SER {:.4e} -> {:.4e} measured ({:+.1}%)",
             before,
@@ -1003,103 +777,55 @@ fn run_harden() -> Result<u8, CliError> {
     Ok(0)
 }
 
+const BENCH_SOLVE_USAGE: &str = "usage: retimer bench-solve [--out FILE] [--gates N,N,...] \
+     [--tier small|large|xlarge] [--samples-only] [--profile] \
+     [--fail-on-degraded] \
+     [--time-budget SECS] [--max-iters N] [--max-memory BYTES]";
+
+#[derive(Debug)]
 struct BenchSolveOptions {
-    out: String,
-    gates: Vec<usize>,
-    samples_only: bool,
-    time_budget: Option<f64>,
-    max_iters: Option<usize>,
-    max_memory: Option<usize>,
-    profile: bool,
+    bench: BenchFlags,
+    budget: SolveBudget,
     fail_on_degraded: bool,
 }
 
-fn parse_bench_solve_args() -> Result<BenchSolveOptions, String> {
-    let mut args = std::env::args().skip(2); // binary name + "bench-solve"
-    let mut options = BenchSolveOptions {
-        out: "BENCH_solver.json".into(),
-        gates: vec![300, 1000],
-        samples_only: false,
-        time_budget: None,
-        max_iters: None,
-        max_memory: None,
-        profile: false,
-        fail_on_degraded: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => options.out = args.next().ok_or("--out needs a path")?,
-            "--gates" => {
-                let list = args.next().ok_or("--gates needs a comma-separated list")?;
-                options.gates = list
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| format!("invalid --gates list `{list}`"))?;
-            }
-            "--tier" => {
-                let tier = args.next().ok_or("--tier needs a name")?;
-                options.gates = bench_harness::tier_gates(&tier, options.gates)?;
-            }
-            "--samples-only" => options.samples_only = true,
-            "--profile" => options.profile = true,
-            "--fail-on-degraded" => options.fail_on_degraded = true,
-            "--max-memory" => {
-                options.max_memory = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--max-memory needs a byte count")?,
-                )
-            }
-            "--time-budget" => {
-                let secs: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--time-budget needs a number of seconds")?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err("--time-budget needs a non-negative number".into());
-                }
-                options.time_budget = Some(secs);
-            }
-            "--max-iters" => {
-                options.max_iters = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--max-iters needs a non-negative integer")?,
-                )
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: retimer bench-solve [--out FILE] [--gates N,N,...] \
-                     [--tier small|large|xlarge] [--samples-only] [--profile] \
-                     [--fail-on-degraded] \
-                     [--time-budget SECS] [--max-iters N] [--max-memory BYTES]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
+fn parse_bench_solve(tokens: Vec<String>) -> Result<Parsed<BenchSolveOptions>, String> {
+    let mut bench = BenchFlags::new("BENCH_solver.json", vec![300, 1000]);
+    let (mut budget, mut max_memory, mut fail_on_degraded) = (BudgetFlags::default(), None, false);
+    if let Parsed::Help(usage) = cli::walk(tokens, BENCH_SOLVE_USAGE, None, |flag, args| {
+        match flag {
+            "--max-memory" => max_memory = Some(args.value(flag, "a byte count")?),
+            "--fail-on-degraded" => fail_on_degraded = true,
+            _ => return Ok(bench.take(flag, args)? || budget.take(flag, args)?),
         }
+        Ok(true)
+    })? {
+        return Ok(Parsed::Help(usage));
     }
-    Ok(options)
+    Ok(Parsed::Run(BenchSolveOptions {
+        bench,
+        budget: budget.budget().with_max_memory_estimate(max_memory),
+        fail_on_degraded,
+    }))
 }
 
 /// Benchmarks the incremental constraint checker and the warm-started
 /// closure engine against their from-scratch counterparts and writes
 /// the counters as JSON (`BENCH_solver.json`).
-fn run_bench_solve() -> Result<u8, CliError> {
+fn run_bench_solve(options: BenchSolveOptions) -> Result<u8, CliError> {
     use bench_harness::solver_bench;
 
-    let options = parse_bench_solve_args()?;
+    let BenchSolveOptions {
+        bench,
+        budget,
+        fail_on_degraded,
+    } = options;
     let mut instances = solver_bench::sample_instances();
-    if !options.samples_only {
-        for &gates in &options.gates {
+    if !bench.samples_only {
+        for &gates in &bench.gates {
             instances.push(solver_bench::generated_instance(gates)?);
         }
     }
-    let budget = minobswin::SolveBudget::new()
-        .with_wall_time(options.time_budget.map(std::time::Duration::from_secs_f64))
-        .with_max_iterations(options.max_iters)
-        .with_max_memory_estimate(options.max_memory);
 
     let mut degraded = false;
     let mut records = Vec::new();
@@ -1123,7 +849,7 @@ fn run_bench_solve() -> Result<u8, CliError> {
             record.incremental.solve_seconds,
             record.full.solve_seconds,
         );
-        if options.profile {
+        if bench.profile {
             print!("{}", solver_bench::profile_table(&record));
         }
         records.push(record);
@@ -1132,15 +858,15 @@ fn run_bench_solve() -> Result<u8, CliError> {
     // `--fail-on-degraded` is the baseline-refresh guard: a truncated
     // run must never overwrite the tracked JSON, so refuse the write
     // entirely instead of writing-then-signalling via the exit code.
-    if degraded && options.fail_on_degraded {
+    if degraded && fail_on_degraded {
         eprintln!(
             "budget exceeded: some runs were truncated; refusing to write {} (exit {})",
-            options.out, EXIT_DEGRADED
+            bench.out, EXIT_DEGRADED
         );
         return Ok(EXIT_DEGRADED);
     }
-    std::fs::write(&options.out, solver_bench::to_json(&records))?;
-    println!("wrote {}", options.out);
+    std::fs::write(&bench.out, solver_bench::to_json(&records))?;
+    println!("wrote {}", bench.out);
     if degraded {
         eprintln!("budget exceeded: some runs were truncated (exit 4)");
         return Ok(EXIT_DEGRADED);
@@ -1148,95 +874,53 @@ fn run_bench_solve() -> Result<u8, CliError> {
     Ok(0)
 }
 
+const BENCH_SER_USAGE: &str = "usage: retimer bench-ser [--out FILE] [--gates N,N,...] \
+     [--tier small|large|xlarge] [--samples-only] [--profile] \
+     [--vectors K] [--frames N] [--threads T]";
+
+#[derive(Debug)]
 struct BenchSerOptions {
-    out: String,
-    gates: Vec<usize>,
-    samples_only: bool,
-    vectors: usize,
-    frames: usize,
-    threads: usize,
-    profile: bool,
+    bench: BenchFlags,
+    config: BenchSerConfig,
 }
 
-fn parse_bench_ser_args() -> Result<BenchSerOptions, String> {
-    let mut args = std::env::args().skip(2); // binary name + "bench-ser"
-    let mut options = BenchSerOptions {
-        out: "BENCH_ser.json".into(),
-        gates: vec![400, 1500],
-        samples_only: false,
-        vectors: 1024,
-        frames: 15,
-        threads: 0,
-        profile: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => options.out = args.next().ok_or("--out needs a path")?,
-            "--gates" => {
-                let list = args.next().ok_or("--gates needs a comma-separated list")?;
-                options.gates = list
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| format!("invalid --gates list `{list}`"))?;
-            }
-            "--tier" => {
-                let tier = args.next().ok_or("--tier needs a name")?;
-                options.gates = bench_harness::tier_gates(&tier, options.gates)?;
-            }
-            "--samples-only" => options.samples_only = true,
-            "--profile" => options.profile = true,
-            "--vectors" => {
-                options.vectors = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--vectors needs a positive integer")?
-            }
-            "--frames" => {
-                options.frames = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--frames needs a positive integer")?
-            }
-            "--threads" | "--workers" => {
-                options.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a non-negative integer")?
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: retimer bench-ser [--out FILE] [--gates N,N,...] \
-                     [--tier small|large|xlarge] [--samples-only] [--profile] \
-                     [--vectors K] [--frames N] [--threads T]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
+fn parse_bench_ser(tokens: Vec<String>) -> Result<Parsed<BenchSerOptions>, String> {
+    let mut bench = BenchFlags::new("BENCH_ser.json", vec![400, 1500]);
+    let mut sim = SimFlags::default();
+    if let Parsed::Help(usage) =
+        cli::walk(tokens, BENCH_SER_USAGE, None, |flag, args| match flag {
+            // The benchmark times one fixed stimulus.
+            "--seed" => Ok(false),
+            _ => Ok(bench.take(flag, args)? || sim.take(flag, args)?),
+        })?
+    {
+        return Ok(Parsed::Help(usage));
     }
-    Ok(options)
+    let sim = sim.finish()?;
+    Ok(Parsed::Run(BenchSerOptions {
+        bench,
+        config: BenchSerConfig {
+            num_vectors: sim.num_vectors,
+            frames: sim.frames,
+            threads: sim.threads,
+            ..BenchSerConfig::default()
+        },
+    }))
 }
 
 /// Benchmarks the SER data plane — scalar per-signature engine vs. flat
 /// arena engine vs. arena + worker pool — and writes the timings as
 /// JSON (`BENCH_ser.json`).
-fn run_bench_ser() -> Result<u8, CliError> {
+fn run_bench_ser(options: BenchSerOptions) -> Result<u8, CliError> {
     use bench_harness::ser_bench;
 
-    let options = parse_bench_ser_args()?;
+    let BenchSerOptions { bench, config } = options;
     let mut instances = ser_bench::sample_instances();
-    if !options.samples_only {
-        for &gates in &options.gates {
+    if !bench.samples_only {
+        for &gates in &bench.gates {
             instances.push(ser_bench::generated_instance(gates));
         }
     }
-    let config = ser_bench::BenchSerConfig {
-        num_vectors: options.vectors,
-        frames: options.frames,
-        threads: options.threads,
-        ..ser_bench::BenchSerConfig::default()
-    };
 
     let mut records = Vec::new();
     for instance in &instances {
@@ -1259,39 +943,62 @@ fn run_bench_ser() -> Result<u8, CliError> {
             record.propprob_nanos as f64 / 1e6,
             record.propprob_nanos_per_gf(),
         );
-        if options.profile {
+        if bench.profile {
             print!("{}", ser_bench::profile_table(&record));
         }
         records.push(record);
     }
 
-    std::fs::write(&options.out, ser_bench::to_json(&records))?;
-    println!("wrote {}", options.out);
+    std::fs::write(&bench.out, ser_bench::to_json(&records))?;
+    println!("wrote {}", bench.out);
     Ok(0)
 }
 
-/// `retimer serve`: boots the daemon (crates/serve) on stdin/stdout or
-/// a unix socket and runs it until drained. `--fsck` instead runs one
-/// standalone cache-integrity pass and exits.
-fn run_serve() -> Result<u8, CliError> {
-    // Chaos and soak harnesses opt into filesystem fault injection
-    // via SABOTAGE_FIO_PLAN (a malformed plan warns and stays inert).
-    if let Some(plan) = netlist::fio::install_from_env() {
-        eprintln!("warning: filesystem fault injection active: {plan:?}");
+const SERVE_USAGE: &str = "usage: retimer serve [--cache DIR] [--threads T] [--queue N] \
+     [--time-budget SECS] [--max-iters N] [--cache-max-bytes SIZE] \
+     [--socket PATH] [--fsck]";
+
+#[derive(Debug)]
+struct ServeOptions {
+    config: serve::ServeConfig,
+    socket: Option<String>,
+    fsck: bool,
+}
+
+fn parse_serve(tokens: Vec<String>) -> Result<Parsed<ServeOptions>, String> {
+    let mut config = serve::ServeConfig::new(".retimer-cache");
+    let (mut socket, mut fsck) = (None, false);
+    let mut budget = BudgetFlags::positive();
+    if let Parsed::Help(usage) = cli::walk(tokens, SERVE_USAGE, None, |flag, args| {
+        match flag {
+            "--cache" => config.cache_dir = args.text(flag, "a directory")?.into(),
+            "--threads" => config.workers = cli::threads(args)?,
+            "--queue" => {
+                config.queue_capacity =
+                    args.value_if(flag, "a positive integer", |&n: &usize| n > 0)?
+            }
+            "--cache-max-bytes" => {
+                config.cache_max_bytes = Some(args.parsed(
+                    flag,
+                    "a positive size (bytes, or with k/m/g)",
+                    parse_byte_size,
+                )?)
+            }
+            "--fsck" => fsck = true,
+            "--socket" => socket = Some(args.text(flag, "a path")?),
+            _ => return budget.take(flag, args),
+        }
+        Ok(true)
+    })? {
+        return Ok(Parsed::Help(usage));
     }
-    let (config, socket, fsck) = parse_serve_args()?;
-    if fsck {
-        let cache = serve::ResultCache::open(&config.cache_dir)
-            .map_err(|e| CliError::Usage(format!("--fsck: {}: {e}", config.cache_dir.display())))?
-            .with_max_bytes(config.cache_max_bytes);
-        println!("{}", cache.fsck().to_json());
-        return Ok(0);
-    }
-    let outcome = match socket {
-        Some(path) => serve::run_socket(config, Path::new(&path)),
-        None => serve::run_stdio(config),
-    };
-    outcome.map_err(CliError::Usage)
+    config.default_time_budget = budget.time_budget;
+    config.default_max_iters = budget.max_iters;
+    Ok(Parsed::Run(ServeOptions {
+        config,
+        socket,
+        fsck,
+    }))
 }
 
 /// Parses a byte size: plain bytes, or with a `k`/`m`/`g` suffix
@@ -1310,64 +1017,32 @@ fn parse_byte_size(s: &str) -> Option<u64> {
         .and_then(|n| n.checked_mul(mult))
 }
 
-fn parse_serve_args() -> Result<(serve::ServeConfig, Option<String>, bool), String> {
-    let mut args = std::env::args().skip(2); // binary name + "serve"
-    let mut config = serve::ServeConfig::new(".retimer-cache");
-    let mut socket: Option<String> = None;
-    let mut fsck = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--cache" => config.cache_dir = args.next().ok_or("--cache needs a directory")?.into(),
-            "--threads" | "--workers" => {
-                config.workers = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a non-negative integer")?
-            }
-            "--queue" => {
-                config.queue_capacity = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--queue needs a positive integer")?
-            }
-            "--time-budget" => {
-                config.default_time_budget = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&secs: &f64| secs.is_finite() && secs > 0.0)
-                        .ok_or("--time-budget needs a positive number of seconds")?,
-                )
-            }
-            "--max-iters" => {
-                config.default_max_iters = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--max-iters needs a positive integer")?,
-                )
-            }
-            "--cache-max-bytes" => {
-                config.cache_max_bytes = Some(
-                    args.next()
-                        .as_deref()
-                        .and_then(parse_byte_size)
-                        .ok_or("--cache-max-bytes needs a positive size (bytes, or with k/m/g)")?,
-                )
-            }
-            "--fsck" => fsck = true,
-            "--socket" => socket = Some(args.next().ok_or("--socket needs a path")?),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: retimer serve [--cache DIR] [--threads T] [--queue N] \
-                     [--time-budget SECS] [--max-iters N] [--cache-max-bytes SIZE] \
-                     [--socket PATH] [--fsck]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
+/// `retimer serve`: boots the daemon (crates/serve) on stdin/stdout or
+/// a unix socket and runs it until drained. `--fsck` instead runs one
+/// standalone cache-integrity pass and exits.
+fn run_serve(options: ServeOptions) -> Result<u8, CliError> {
+    // Chaos and soak harnesses opt into filesystem fault injection
+    // via SABOTAGE_FIO_PLAN (a malformed plan warns and stays inert).
+    if let Some(plan) = netlist::fio::install_from_env() {
+        eprintln!("warning: filesystem fault injection active: {plan:?}");
     }
-    Ok((config, socket, fsck))
+    let ServeOptions {
+        config,
+        socket,
+        fsck,
+    } = options;
+    if fsck {
+        let cache = serve::ResultCache::open(&config.cache_dir)
+            .map_err(|e| CliError::Usage(format!("--fsck: {}: {e}", config.cache_dir.display())))?
+            .with_max_bytes(config.cache_max_bytes);
+        println!("{}", cache.fsck().to_json());
+        return Ok(0);
+    }
+    let outcome = match socket {
+        Some(path) => serve::run_socket(config, Path::new(&path)),
+        None => serve::run_stdio(config),
+    };
+    outcome.map_err(CliError::Usage)
 }
 
 fn append_csv(path: &str, run: &minobswin::experiment::CircuitRun) -> std::io::Result<()> {
@@ -1407,4 +1082,337 @@ fn append_csv(path: &str, run: &minobswin::experiment::CircuitRun) -> std::io::R
         run.minobswin.stats.commits,
         run.ser_ratio(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    //! In-process properties of every subcommand's parser and
+    //! `table1`'s over token soups: random mixes of known flags, random
+    //! values and junk tokens. No parser may panic, every accepted
+    //! simulation size must be one the SER engine runs, `--workers`
+    //! must stay an exact alias of `--threads`, and `--help` must come
+    //! back as a value. CI's `robustness` job runs them with
+    //! `PROPTEST_CASES=2048`.
+
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The flags of `--vectors K --frames N --seed S --threads T`.
+    const SIM: [&str; 5] = ["--vectors", "--frames", "--seed", "--threads", "--workers"];
+
+    /// The flags of `estimate` and `harden`, which share one parser.
+    const ESTIMATE: &[&str] = &[
+        "--engine",
+        "--injections",
+        "--campaign-seed",
+        "--tolerance",
+        "--max-source-bits",
+        "--phi",
+        "--area-budget",
+        "--hardening-factor",
+        "--area-overhead",
+        "--max-picks",
+        "--plan",
+        "--no-validate",
+    ];
+
+    /// One parser under test: whether it reads an input netlist, its own
+    /// flags (drawn most often, so the soups reach its accepting paths)
+    /// and its result as an [`Outcome`].
+    struct Command {
+        name: &'static str,
+        input: bool,
+        flags: Vec<&'static str>,
+        parse: fn(Vec<String>) -> Outcome,
+    }
+
+    fn commands() -> Vec<Command> {
+        let with_sim = |flags: &[&'static str]| [flags, &SIM[..]].concat();
+        let bench = ["--out", "--gates", "--tier", "--samples-only", "--profile"];
+        vec![
+            Command {
+                name: "solve",
+                input: true,
+                flags: with_sim(&[
+                    "--method",
+                    "--out",
+                    "--report",
+                    "--r-min",
+                    "--no-equiv",
+                    "--time-budget",
+                    "--max-iters",
+                    "--checkpoint",
+                    "--resume",
+                ]),
+                parse: |t| outcome(parse_solve(t), |o| Some(o.sim)),
+            },
+            Command {
+                name: "fault-sim",
+                input: true,
+                flags: with_sim(&[
+                    "--injections",
+                    "--method",
+                    "--campaign-seed",
+                    "--pulse-width",
+                    "--tolerance",
+                ]),
+                parse: |t| outcome(parse_fault_sim(t), |o| Some(o.sim)),
+            },
+            Command {
+                name: "estimate",
+                input: true,
+                flags: with_sim(ESTIMATE),
+                parse: |t| outcome(parse_estimate(t, ESTIMATE_USAGE), |o| Some(o.sim)),
+            },
+            Command {
+                name: "harden",
+                input: true,
+                flags: with_sim(ESTIMATE),
+                parse: |t| outcome(parse_estimate(t, HARDEN_USAGE), |o| Some(o.sim)),
+            },
+            Command {
+                name: "bench-solve",
+                input: false,
+                flags: [
+                    &bench[..],
+                    &[
+                        "--fail-on-degraded",
+                        "--time-budget",
+                        "--max-iters",
+                        "--max-memory",
+                    ],
+                ]
+                .concat(),
+                parse: |t| outcome(parse_bench_solve(t), |_| None),
+            },
+            Command {
+                name: "bench-ser",
+                input: false,
+                flags: [
+                    &bench[..],
+                    &["--vectors", "--frames", "--threads", "--workers"],
+                ]
+                .concat(),
+                parse: |t| {
+                    outcome(parse_bench_ser(t), |o| {
+                        sized(o.config.num_vectors, o.config.frames)
+                    })
+                },
+            },
+            Command {
+                name: "serve",
+                input: false,
+                flags: vec![
+                    "--cache",
+                    "--threads",
+                    "--workers",
+                    "--queue",
+                    "--time-budget",
+                    "--max-iters",
+                    "--cache-max-bytes",
+                    "--fsck",
+                    "--socket",
+                ],
+                parse: |t| outcome(parse_serve(t), |_| None),
+            },
+            Command {
+                name: "table1",
+                input: false,
+                flags: vec![
+                    "--scale",
+                    "--giant-extra",
+                    "--filter",
+                    "--vectors",
+                    "--frames",
+                    "--full",
+                ],
+                parse: |t| outcome(cli::table1(t), |o| sized(o.num_vectors, o.frames)),
+            },
+        ]
+    }
+
+    /// Values in and around every flag's accepted range.
+    const VALUES: &[&str] = &[
+        "0",
+        "1",
+        "2",
+        "-1",
+        "63",
+        "64",
+        "65",
+        "100",
+        "128",
+        "1024",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-0",
+        "0.0",
+        "0.5",
+        "1.5",
+        "-3",
+        "nan",
+        "inf",
+        "-inf",
+        "1e300",
+        "1e-300",
+        "4k",
+        "2m",
+        "1g",
+        "0k",
+        "x",
+        "",
+        "both",
+        "minobs",
+        "minobswin",
+        "all",
+        "exact",
+        "small",
+        "large",
+        "mega",
+        "300,1000",
+        "1,,2",
+        "golden.bench",
+    ];
+
+    /// Tokens no parser knows, and flags only some parsers know.
+    const JUNK: &[&str] = &[
+        "-",
+        "--",
+        "-x",
+        "--vectors=64",
+        "solve",
+        "\u{0}",
+        "ü",
+        "--method",
+        "--seed",
+        "--threads",
+        "--scale",
+        "--engine",
+        "--queue",
+        "--fail-on-degraded",
+    ];
+
+    /// A soup for `command`: its input if it reads one, then mostly one of
+    /// its flags with a value, sometimes a bare flag, a bare value or junk.
+    fn soup(command: &Command, picks: &[(usize, usize, usize)]) -> Vec<String> {
+        let mut tokens = Vec::new();
+        if command.input {
+            tokens.push("design.bench");
+        }
+        for &(kind, i, j) in picks {
+            let flags = &command.flags;
+            let (flag, value) = (flags[i % flags.len()], VALUES[j % VALUES.len()]);
+            match kind {
+                0..=5 => tokens.extend([flag, value]),
+                6 | 7 => tokens.push(flag),
+                8 => tokens.push(value),
+                _ => tokens.push(JUNK[j % JUNK.len()]),
+            }
+        }
+        tokens.into_iter().map(String::from).collect()
+    }
+
+    /// One parser's result, reduced to what the properties compare: the
+    /// options (as their `Debug` text) and the simulation size they
+    /// carry, or the usage, or the error.
+    type Outcome = Result<Parsed<(String, Option<SimConfig>)>, String>;
+
+    fn outcome<T: std::fmt::Debug>(
+        parsed: Result<Parsed<T>, String>,
+        sim: impl Fn(&T) -> Option<SimConfig>,
+    ) -> Outcome {
+        parsed.map(|p| match p {
+            Parsed::Run(o) => Parsed::Run((format!("{o:?}"), sim(&o))),
+            Parsed::Help(usage) => Parsed::Help(usage),
+        })
+    }
+
+    fn sized(num_vectors: usize, frames: usize) -> Option<SimConfig> {
+        Some(SimConfig {
+            num_vectors,
+            frames,
+            ..SimConfig::default()
+        })
+    }
+
+    fn run<T>(parsed: Result<Parsed<T>, String>) -> T {
+        match parsed {
+            Ok(Parsed::Run(options)) => options,
+            other => panic!("{:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn ci_invocations_parse() {
+        let tokens = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let solve = run(parse_bench_solve(tokens(
+            "--gates 10000,50000 --fail-on-degraded --profile --out BENCH_large.new.json",
+        )));
+        assert_eq!(solve.bench.gates, [10_000, 50_000]);
+        assert!(solve.fail_on_degraded && solve.bench.profile);
+        assert_eq!(solve.bench.out, "BENCH_large.new.json");
+        let ser = run(parse_bench_ser(tokens(
+            "--out BENCH_ser.new.json --vectors 512 --frames 8 --gates 400,1500 --profile",
+        )));
+        assert_eq!((ser.config.num_vectors, ser.config.frames), (512, 8));
+        assert_eq!(ser.bench.gates, [400, 1500]);
+        let serve = run(parse_serve(tokens(
+            "--cache .ci-serve-cache --workers 4 --time-budget 60",
+        )));
+        assert_eq!(serve.config.workers, 4);
+        assert_eq!(serve.config.default_time_budget, Some(60.0));
+    }
+
+    /// Picks for [`soup`]: (kind, flag index, value index) triples.
+    fn picks() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
+        prop::collection::vec((0usize..10, 0usize..64, 0usize..64), 0..6)
+    }
+
+    proptest! {
+        #[test]
+        fn accepted_sizes_pass_the_engine_check(k in 0usize..9, n in 0usize..3, picks in picks()) {
+            // Sizes in and around the engine's range, up front where the
+            // command takes them, then a soup that may override them.
+            let sizes = [
+                "--vectors",
+                ["0", "1", "63", "64", "65", "100", "128", "1024", "4096"][k],
+                "--frames",
+                ["0", "1", "15"][n],
+            ];
+            for command in commands() {
+                let mut tokens = soup(&command, &picks);
+                if command.flags.contains(&"--vectors") {
+                    tokens.splice(0..0, sizes.map(String::from));
+                }
+                let result = (command.parse)(tokens);
+                if let Ok(Parsed::Run((options, Some(sim)))) = &result {
+                    prop_assert!(sim.check().is_ok(), "{} accepted {options}", command.name);
+                }
+            }
+        }
+
+        #[test]
+        fn workers_is_an_alias_of_threads(value in 0usize..64, picks in picks()) {
+            for command in commands() {
+                // Leading, so no earlier flag can take it as its value.
+                let with = |flag: &str| {
+                    let mut tokens = vec![flag.to_string(), VALUES[value % VALUES.len()].to_string()];
+                    tokens.extend(soup(&command, &picks));
+                    // Only the spelling an error echoes may differ.
+                    format!("{:?}", (command.parse)(tokens).map_err(|_| ()))
+                };
+                prop_assert_eq!(with("--threads"), with("--workers"), "{}", command.name);
+            }
+        }
+
+        #[test]
+        fn help_comes_back_as_a_value(short in 0usize..2, picks in picks()) {
+            for command in commands() {
+                let mut tokens = vec![["--help", "-h"][short].to_string()];
+                tokens.extend(soup(&command, &picks));
+                let result = (command.parse)(tokens);
+                prop_assert!(matches!(result, Ok(Parsed::Help(_))), "{}: {result:?}", command.name);
+            }
+        }
+    }
 }

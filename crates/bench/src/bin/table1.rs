@@ -10,53 +10,23 @@
 //! twins); the default `--scale 16` reproduces the qualitative shape in
 //! minutes.
 
-use bench_harness::{format_table, run_table1, Table1Options};
+use std::process::ExitCode;
 
-fn main() {
-    let mut options = Table1Options::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                options.scale = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--scale needs a positive integer"));
-            }
-            "--giant-extra" => {
-                options.giant_extra_scale = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--giant-extra needs a positive integer"));
-            }
-            "--filter" => {
-                options.filter = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--filter needs a value")),
-                );
-            }
-            "--vectors" => {
-                options.num_vectors = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--vectors needs a positive integer"));
-            }
-            "--frames" => {
-                options.frames = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--frames needs a positive integer"));
-            }
-            "--full" => {
-                options.scale = 1;
-                options.giant_extra_scale = 1;
-            }
-            "--help" | "-h" => {
-                usage("");
-            }
-            other => usage(&format!("unknown argument `{other}`")),
+use bench_harness::cli::{self, Parsed};
+use bench_harness::{format_table, run_table1};
+
+fn main() -> ExitCode {
+    let options = match cli::table1(std::env::args().skip(1).collect()) {
+        Ok(Parsed::Run(options)) => options,
+        Ok(Parsed::Help(usage)) => {
+            eprintln!("{usage}");
+            return ExitCode::SUCCESS;
         }
-    }
+        Err(e) => {
+            eprintln!("error: {e}\n{}", cli::TABLE1_USAGE);
+            return ExitCode::from(2);
+        }
+    };
     eprintln!(
         "running Table I twins at scale 1/{} (giants 1/{}), K={}, n={} ...",
         options.scale,
@@ -66,15 +36,5 @@ fn main() {
     );
     let rows = run_table1(&options);
     println!("{}", format_table(&rows));
-}
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: table1 [--scale N] [--giant-extra N] [--filter SUBSTR] \
-         [--vectors K] [--frames N] [--full]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
+    ExitCode::SUCCESS
 }

@@ -95,7 +95,49 @@ impl SimConfig {
             threads: 0,
         }
     }
+
+    /// Checks the sizes the engine can run: `K` a positive multiple of
+    /// 64 (one signature word holds 64 vectors) and at least one
+    /// recorded frame. Entry points that take a size from outside the
+    /// program call this, so a bad value is a usage error, not a panic.
+    pub fn check(&self) -> Result<(), SimConfigError> {
+        if self.num_vectors == 0 || !self.num_vectors.is_multiple_of(64) {
+            return Err(SimConfigError {
+                field: "vectors",
+                rule: "a positive multiple of 64",
+                got: self.num_vectors,
+            });
+        }
+        if self.frames == 0 {
+            return Err(SimConfigError {
+                field: "frames",
+                rule: "positive",
+                got: self.frames,
+            });
+        }
+        Ok(())
+    }
 }
+
+/// The first [`SimConfig`] size [`SimConfig::check`] rejects. Displays
+/// as "`vectors` must be a positive multiple of 64".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimConfigError {
+    /// The field: `vectors` or `frames`.
+    pub field: &'static str,
+    /// What the field must be.
+    pub rule: &'static str,
+    /// The rejected value.
+    pub got: usize,
+}
+
+impl std::fmt::Display for SimConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "`{}` must be {}", self.field, self.rule)
+    }
+}
+
+impl std::error::Error for SimConfigError {}
 
 /// What the arena engine did on a run: thread count, audit volume and
 /// circuit-breaker activity. Clean runs have `trips == 0`.

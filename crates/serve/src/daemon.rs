@@ -542,18 +542,16 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     };
 
     // --- spec sanity --------------------------------------------------
-    // The SER engine's bit-packed signatures require the vector count
-    // to be a positive multiple of 64; anything else would panic the
-    // worker thread deep in the solver. Reject it as a job failure
-    // (exit 2, like every other invalid input) instead.
-    if spec.vectors == 0 || spec.vectors % 64 != 0 {
+    // In-process `JobSpec`s bypass `JobSpec::from_json`, and a size the
+    // SER engine cannot run would panic the worker thread deep in the
+    // solver. Reject it as a job failure (exit 2, like every other
+    // invalid input) instead.
+    let sim = spec.sim();
+    if let Err(e) = sim.check() {
         finish(
             JobState::Failed {
                 exit: 2,
-                error: format!(
-                    "`vectors` must be a positive multiple of 64, got {}",
-                    spec.vectors
-                ),
+                error: format!("{e}, got {}", e.got),
             },
             false,
             None,
@@ -645,13 +643,6 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     let solver = match spec.closure {
         ClosureChoice::Warm => SolverConfig::default(),
         ClosureChoice::Fresh => SolverConfig::default().with_closure_engine(ClosureEngine::Fresh),
-    };
-    let sim = ser_engine::sim::SimConfig {
-        num_vectors: spec.vectors,
-        frames: spec.frames,
-        seed: spec.seed,
-        threads: spec.threads,
-        ..Default::default()
     };
 
     let checkpoint_prefix = shared.cache.checkpoint_prefix(&result_key);

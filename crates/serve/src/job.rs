@@ -12,6 +12,7 @@
 //! ```
 
 use crate::json::Json;
+use ser_engine::sim::SimConfig;
 
 /// A job identifier (client-chosen or daemon-generated, unique for
 /// the daemon's lifetime).
@@ -128,6 +129,18 @@ impl JobSpec {
         }
     }
 
+    /// The simulation this job runs: its sizes, seed and threads, with
+    /// the engine's default warm-up.
+    pub fn sim(&self) -> SimConfig {
+        SimConfig {
+            num_vectors: self.vectors,
+            frames: self.frames,
+            seed: self.seed,
+            threads: self.threads,
+            ..SimConfig::default()
+        }
+    }
+
     /// Serializes to the JSON shape shared by `submit` requests and
     /// the persisted `jobs/<id>.job` recovery files.
     pub fn to_json(&self) -> Json {
@@ -197,19 +210,12 @@ impl JobSpec {
             }
         };
         if let Some(n) = uint("vectors")? {
-            // The SER engine's bit-packed signatures require a
-            // positive multiple of 64.
-            if n == 0 || n % 64 != 0 {
-                return Err("`vectors` must be a positive multiple of 64".into());
-            }
             spec.vectors = n as usize;
         }
         if let Some(n) = uint("frames")? {
-            if n == 0 {
-                return Err("`frames` must be positive".into());
-            }
             spec.frames = n as usize;
         }
+        spec.sim().check().map_err(|e| e.to_string())?;
         if let Some(n) = uint("seed")? {
             spec.seed = n;
         }
@@ -342,6 +348,14 @@ mod tests {
         assert!(bad(r#"{"source":"x","format":"bench"}"#).contains("id"));
         assert!(bad(r#"{"id":"a","source":"x","format":"edif"}"#).contains("edif"));
         assert!(bad(r#"{"id":"a","source":"x","format":"bench","vectors":0}"#).contains("vectors"));
+        assert_eq!(
+            bad(r#"{"id":"a","source":"x","format":"bench","vectors":100}"#),
+            "`vectors` must be a positive multiple of 64"
+        );
+        assert_eq!(
+            bad(r#"{"id":"a","source":"x","format":"bench","frames":0}"#),
+            "`frames` must be positive"
+        );
         assert!(
             bad(r#"{"id":"a","source":"x","format":"bench","time_budget":-1}"#)
                 .contains("time_budget")

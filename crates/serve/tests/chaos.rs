@@ -499,3 +499,40 @@ fn queued_past_deadline_expires_with_exit_5() {
     daemon.drain();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// In-process specs bypass `JobSpec::from_json`, so the dequeue guard
+/// applies the SER engine's size rule (`SimConfig::check`) itself: a
+/// size the engine cannot run fails the job with exit 2 instead of
+/// panicking the worker.
+#[test]
+fn in_process_spec_with_an_unrunnable_size_fails_with_exit_2() {
+    let _lock = lock_plan();
+    let dir = chaos_dir("bad-size");
+    let daemon = start_daemon(&dir, 1);
+    let source = bench_format::write(&samples::s27_like());
+    let mut vectors = JobSpec::new("vectors", &source, NetlistFormat::Bench);
+    vectors.vectors = 100;
+    let mut frames = JobSpec::new("frames", &source, NetlistFormat::Bench);
+    frames.vectors = 64;
+    frames.frames = 0;
+    daemon.submit(vectors).expect("admitted");
+    daemon.submit(frames).expect("admitted");
+    for (id, error) in [
+        (
+            "vectors",
+            "`vectors` must be a positive multiple of 64, got 100",
+        ),
+        ("frames", "`frames` must be positive, got 0"),
+    ] {
+        let state = wait_terminal(&daemon, id, Duration::from_secs(60));
+        assert_eq!(
+            state,
+            JobState::Failed {
+                exit: 2,
+                error: error.into()
+            }
+        );
+    }
+    daemon.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}

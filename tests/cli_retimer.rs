@@ -308,3 +308,45 @@ fn retimer_exits_two_on_missing_input_file() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn out_of_range_flags_exit_two_without_panicking() {
+    // Each row panicked (exit 101) or was silently accepted before the
+    // flags shared one parser; now every one is a usage error.
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../netlist/tests/fixtures/golden.bench"
+    );
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    let mut cases: Vec<(&str, Vec<&str>)> = Vec::new();
+    for sub in ["solve", "fault-sim", "estimate", "harden"] {
+        cases.push((bin(), vec![sub, golden, "--vectors", "100"]));
+        cases.push((bin(), vec![sub, golden, "--frames", "0"]));
+    }
+    for sub in ["fault-sim", "estimate", "harden"] {
+        cases.push((bin(), vec![sub, golden, "--injections", "0"]));
+    }
+    cases.extend([
+        (bin(), vec!["bench-ser", "--vectors", "100"]),
+        (bin(), vec!["bench-ser", "--frames", "0"]),
+        (bin(), vec!["fault-sim", golden, "--tolerance", "-5"]),
+        (bin(), vec!["fault-sim", golden, "--tolerance", "nan"]),
+        (bin(), vec!["fault-sim", golden, "--pulse-width", "-3"]),
+        (bin(), vec!["fault-sim", golden, "--pulse-width", "nan"]),
+        (bin(), vec!["serve", "--max-iters", "0"]),
+        (table1, vec!["--vectors", "100", "--filter", "s13207"]),
+        (table1, vec!["--frames", "0", "--filter", "s13207"]),
+        (table1, vec!["--scale", "0", "--filter", "s13207"]),
+        (table1, vec!["--giant-extra", "0", "--filter", "s13207"]),
+    ]);
+    for (program, args) in &cases {
+        let out = Command::new(program)
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
