@@ -264,6 +264,9 @@ impl Tally {
 fn worker_run(atlas: &FaultAtlas, seed: u64, count: u64, pulse_width: f64) -> Tally {
     let mut rng = Xoshiro256::seed_from_u64(seed);
     let mut tally = Tally::new(atlas.sites().len(), atlas.registers().len());
+    if atlas.sites().is_empty() {
+        return tally; // nothing can be struck, so nothing latches
+    }
     let bits = atlas.num_vectors();
     let phi = atlas.phi();
     for _ in 0..count {
@@ -474,6 +477,23 @@ mod tests {
         assert!(r.ser() >= 0.0);
         let (lo, hi) = r.ser_ci();
         assert!(lo <= r.ser() && r.ser() <= hi);
+    }
+
+    #[test]
+    fn a_circuit_without_strike_sites_latches_nothing() {
+        let mut b = netlist::CircuitBuilder::new("wire");
+        b.input("a");
+        b.output("a").unwrap();
+        let c = b.build().unwrap();
+        let ser = SerConfig::small(30);
+        for workers in [1, 3] {
+            let cfg = CampaignConfig::new(1_000).with_workers(workers);
+            let r = run_campaign(&c, &ser, &cfg).unwrap();
+            assert!(r.sites.is_empty());
+            assert_eq!((r.latches, r.logic_hits, r.po_latches), (0, 0, 0));
+            assert_eq!(r.injections, 1_000);
+            assert_eq!(r.ser(), 0.0);
+        }
     }
 
     #[test]

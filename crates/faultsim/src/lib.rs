@@ -9,10 +9,16 @@
 //!
 //! The engine is organized as three layers:
 //!
-//! * [`FaultAtlas`] — campaign precompute: one bit-parallel faulty
-//!   resimulation per distinct injection node (all `K` vectors at
-//!   once), plus the node's exact ELW. Makes the per-injection cost two
-//!   table lookups and an interval test.
+//! * [`FaultAtlas`] — campaign precompute: one bit-parallel
+//!   propagation per distinct injection node (all `K` vectors at once),
+//!   plus the node's exact ELW. Makes the per-injection cost two table
+//!   lookups and an interval test. The propagation carries only the
+//!   difference from the nominal trace and evaluates only gates with a
+//!   differing fanin. It stops early once no register differs at a
+//!   frame boundary. Its work is thus bounded by the flip's live
+//!   fan-out cone, not by `frames × gates`.
+//!   [`FaultAtlas::gate_evaluations`] reports that work as a
+//!   deterministic counter.
 //! * [`run_campaign`] — the sampling loop, fanned out over
 //!   `std::thread::scope` workers with per-worker PRNG streams split
 //!   from the campaign seed. Bit-for-bit deterministic for a fixed

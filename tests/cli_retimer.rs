@@ -144,6 +144,40 @@ fn retimer_fault_sim_rejects_bad_method() {
 }
 
 #[test]
+fn monte_carlo_commands_succeed_on_a_circuit_without_strike_sites() {
+    // A bare wire has no gate with a positive rate. The campaign used to
+    // sample from the empty site list and panic (exit 101); now every
+    // Monte-Carlo command reports an SER of 0 and exits 0.
+    let dir = workdir("no_sites");
+    let input = dir.join("wire.bench");
+    std::fs::write(&input, "INPUT(a)\nOUTPUT(a)\n").expect("write input");
+    let input = input.to_str().unwrap();
+    let runs: [&[&str]; 4] = [
+        &["fault-sim", input, "--injections", "2000"],
+        &[
+            "estimate",
+            input,
+            "--engine",
+            "montecarlo",
+            "--injections",
+            "2000",
+        ],
+        &["estimate", input, "--engine", "all", "--injections", "2000"],
+        &["harden", input, "--injections", "2000"],
+    ];
+    for args in runs {
+        let out = Command::new(bin())
+            .args(args)
+            .output()
+            .expect("run retimer");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: stderr {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn retimer_rejects_unknown_format() {
     let status = Command::new(bin())
         .arg("nonexistent.xyz")

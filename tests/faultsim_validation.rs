@@ -4,6 +4,7 @@
 //! determinism for a fixed seed, and statistical compatibility across
 //! worker counts.
 
+use bench_harness::solver_bench;
 use faultsim::{
     folded_elw_fraction, run_campaign, CampaignConfig, CrossCheck, FaultAtlas, DEFAULT_TOLERANCE,
 };
@@ -176,5 +177,29 @@ fn register_latch_counts_track_analytic_register_share() {
     assert!(
         campaign.register_latches.iter().any(|&(_, n)| n > 0),
         "no register ever latched in 50k injections"
+    );
+}
+
+#[test]
+fn atlas_work_stays_inside_the_fanout_cones_on_the_1k_fixture_recipe() {
+    // The atlas propagates each flip only through the gates it reaches.
+    // A full resimulation evaluates nodes × frames × |topo| gates;
+    // difference propagation spends about 11% of that on this circuit
+    // at the K = 256 used here (14% at K = 2048), so a regression to
+    // full resimulation fails the bound.
+    let circuit = solver_bench::generated_circuit(1000);
+    let mut ser = SerConfig::with_phi(400);
+    ser.sim.num_vectors = 256;
+    ser.sim.threads = 1;
+    let atlas = FaultAtlas::build(&circuit, &ser, 2).unwrap();
+    let mut nodes: Vec<_> = atlas.sites().iter().map(|s| s.node).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    let full = (nodes.len() * ser.sim.frames * circuit.topo_order().len()) as u64;
+    let spent = atlas.gate_evaluations();
+    assert!(spent > 0);
+    assert!(
+        spent * 4 <= full,
+        "atlas spent {spent} gate evaluations, more than 25% of the {full} a full resimulation needs"
     );
 }
