@@ -121,7 +121,7 @@
 //!                                    (> 0)
 //!   --max-iters N                    default per-job iteration budget
 //!                                    (> 0)
-//!   --cache-max-bytes SIZE           LRU-evict cache stages past SIZE
+//!   --cache-max-bytes SIZE           LRU-evict cached results past SIZE
 //!                                    (plain bytes or k/m/g suffix)
 //!   --fsck                           run one cache-integrity pass (remove
 //!                                    tmp orphans, quarantine corrupt

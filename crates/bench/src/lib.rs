@@ -53,6 +53,35 @@ pub fn tier_gates(tier: &str, small: Vec<usize>) -> Result<Vec<usize>, String> {
     }
 }
 
+/// Every object key path of a JSON document, sorted (arrays contribute
+/// their first element's paths under `[]`). The `BENCH_*.json` writers'
+/// tests compare fresh output's paths with the committed baselines'.
+#[cfg(test)]
+fn json_key_paths(v: &serve::json::Json) -> Vec<String> {
+    use serve::json::Json;
+    fn walk(v: &Json, at: &str, out: &mut Vec<String>) {
+        match v {
+            Json::Obj(pairs) => {
+                for (k, child) in pairs {
+                    let path = format!("{at}.{k}");
+                    out.push(path.clone());
+                    walk(child, &path, out);
+                }
+            }
+            Json::Arr(items) => {
+                if let Some(first) = items.first() {
+                    walk(first, &format!("{at}[]"), out);
+                }
+            }
+            _ => {}
+        }
+    }
+    let mut out = Vec::new();
+    walk(v, "", &mut out);
+    out.sort();
+    out
+}
+
 #[cfg(test)]
 mod tier_tests {
     use super::*;

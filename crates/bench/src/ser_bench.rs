@@ -17,6 +17,7 @@ use ser_engine::odc::Observability;
 use ser_engine::scalar::{self, ScalarTrace};
 use ser_engine::signature_allocs;
 use ser_engine::sim::{FrameTrace, SimConfig};
+use serve::json::Json;
 
 /// A circuit under benchmark.
 pub struct BenchSerInstance {
@@ -314,47 +315,46 @@ fn run_arena(circuit: &Circuit, config: SimConfig) -> (Observability, u64, u64) 
     (obs, sim_ns, odc_ns)
 }
 
-/// Serializes the records as the `BENCH_ser.json` document
-/// (hand-rolled: the workspace deliberately has no serde dependency).
+/// Serializes the records as the `BENCH_ser.json` document.
 /// `ser_arena_nanos` is the CI-gated regression field.
 pub fn to_json(records: &[BenchSerRecord]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"ser-data-plane\",\n  \"version\": 3,\n");
-    out.push_str("  \"circuits\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"name\": \"{}\",\n      \"gates\": {},\n      \
-             \"num_vectors\": {},\n      \"frames\": {},\n      \"threads\": {},\n      \
-             \"ser_scalar_nanos\": {},\n      \"ser_scalar_allocs\": {},\n      \
-             \"ser_arena_nanos\": {},\n      \"ser_arena_sim_nanos\": {},\n      \
-             \"ser_arena_odc_nanos\": {},\n      \"ser_arena_allocs\": {},\n      \
-             \"ser_threaded_nanos\": {},\n      \"ser_propprob_nanos\": {},\n      \
-             \"arena_speedup\": {:.3},\n      \"threaded_speedup\": {:.3},\n      \
-             \"arena_nanos_per_gate_frame_vector\": {:.4},\n      \
-             \"propprob_nanos_per_gate_frame\": {:.4}\n    }}",
-            r.name,
-            r.gates,
-            r.num_vectors,
-            r.frames,
-            r.threads,
-            r.scalar_nanos,
-            r.scalar_allocs,
-            r.arena_nanos,
-            r.arena_sim_nanos,
-            r.arena_odc_nanos,
-            r.arena_allocs,
-            r.threaded_nanos,
-            r.propprob_nanos,
-            r.arena_speedup(),
-            r.threaded_speedup(),
-            r.arena_nanos_per_gfv(),
-            r.propprob_nanos_per_gf(),
-        );
-        out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let circuits = records
+        .iter()
+        .map(|r| {
+            let n = |v: u64| Json::num(v as f64);
+            Json::obj(vec![
+                ("name", Json::str(&r.name)),
+                ("gates", Json::num(r.gates as f64)),
+                ("num_vectors", Json::num(r.num_vectors as f64)),
+                ("frames", Json::num(r.frames as f64)),
+                ("threads", Json::num(r.threads as f64)),
+                ("ser_scalar_nanos", n(r.scalar_nanos)),
+                ("ser_scalar_allocs", n(r.scalar_allocs)),
+                ("ser_arena_nanos", n(r.arena_nanos)),
+                ("ser_arena_sim_nanos", n(r.arena_sim_nanos)),
+                ("ser_arena_odc_nanos", n(r.arena_odc_nanos)),
+                ("ser_arena_allocs", n(r.arena_allocs)),
+                ("ser_threaded_nanos", n(r.threaded_nanos)),
+                ("ser_propprob_nanos", n(r.propprob_nanos)),
+                ("arena_speedup", Json::rounded(r.arena_speedup(), 3)),
+                ("threaded_speedup", Json::rounded(r.threaded_speedup(), 3)),
+                (
+                    "arena_nanos_per_gate_frame_vector",
+                    Json::rounded(r.arena_nanos_per_gfv(), 4),
+                ),
+                (
+                    "propprob_nanos_per_gate_frame",
+                    Json::rounded(r.propprob_nanos_per_gf(), 4),
+                ),
+            ])
+        })
+        .collect();
+    let doc = Json::obj(vec![
+        ("benchmark", Json::str("ser-data-plane")),
+        ("version", Json::num(3.0)),
+        ("circuits", Json::Arr(circuits)),
+    ]);
+    format!("{doc:#}\n")
 }
 
 #[cfg(test)]
@@ -406,6 +406,40 @@ mod tests {
         // (note: a bare `nan` check would trip on field names like
         // `check_nanos`).
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
+    }
+
+    /// The writer escapes circuit names and keeps the committed
+    /// baseline's key names and nesting, so CI can diff fresh output
+    /// against it.
+    #[test]
+    fn json_escapes_names_and_keeps_the_baseline_shape() {
+        let name = "odd \"name\" \\ with\nnewline";
+        let record = BenchSerRecord {
+            name: name.to_string(),
+            gates: 10,
+            num_vectors: 64,
+            frames: 2,
+            threads: 1,
+            scalar_nanos: 5,
+            scalar_allocs: 6,
+            arena_nanos: 7,
+            arena_sim_nanos: 3,
+            arena_odc_nanos: 3,
+            arena_allocs: 1,
+            threaded_nanos: 7,
+            propprob_nanos: 2,
+        };
+        let fresh = Json::parse(&to_json(&[record])).expect("writer output parses");
+        let Some(Json::Arr(rows)) = fresh.get("circuits") else {
+            panic!("circuits is not an array")
+        };
+        assert_eq!(rows[0].get("name").and_then(Json::as_str), Some(name));
+
+        let baseline = Json::parse(include_str!("../../../BENCH_ser.json")).unwrap();
+        assert_eq!(
+            crate::json_key_paths(&fresh),
+            crate::json_key_paths(&baseline)
+        );
     }
 
     /// The `--profile` table's sim/odc/finalize rows must add up to the

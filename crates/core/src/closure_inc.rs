@@ -121,10 +121,6 @@ pub struct IncrementalClosure {
     arc_cursor: usize,
     gain_cursor: usize,
     cached: Vec<VertexId>,
-    /// Membership bitset over `cached` (indexed by vertex), kept in
-    /// sync by [`IncrementalClosure::extract`]; the delta classifier of
-    /// the provably-unchanged-cut fast path queries it.
-    in_cut: Vec<bool>,
     touched: u64,
     scratch: Vec<u32>,
 }
@@ -152,7 +148,6 @@ impl IncrementalClosure {
             arc_cursor: 0,
             gain_cursor: 0,
             cached: Vec::new(),
-            in_cut: Vec::new(),
             touched: 0,
             scratch: Vec::new(),
         }
@@ -185,18 +180,7 @@ impl IncrementalClosure {
                 }
                 self.scratch.sort_unstable();
                 self.scratch.dedup();
-                if self.cut_provably_unchanged(system) {
-                    // Every pending delta is a sink-side capacity
-                    // increase on a non-member or a constraint arc that
-                    // cannot reach a new vertex from the source side:
-                    // the maximum flow, the minimum cut and the
-                    // source-reachable set are all provably unchanged
-                    // (see the module docs), so the deltas are folded
-                    // into the residual and the cached member list is
-                    // served without a resume or re-extraction.
-                    self.apply_deltas(system);
-                    perf.closure_skips += 1;
-                } else if self.scratch.len() * 100 > self.rebuild_percent as usize * self.n {
+                if self.scratch.len() * 100 > self.rebuild_percent as usize * self.n {
                     perf.closure_fallback_full += 1;
                     self.rebuild(system);
                 } else {
@@ -282,63 +266,6 @@ impl IncrementalClosure {
         self.built = true;
         self.resume();
         self.extract();
-    }
-
-    /// Classifies the pending change-log deltas: `true` iff **every**
-    /// one of them provably leaves the maximum flow, the minimum cut
-    /// and the residual source-reachable set untouched, so
-    /// [`IncrementalClosure::select`] may fold them into the residual
-    /// and serve the cached member list without a resume or
-    /// re-extraction. The safe cases:
-    ///
-    /// * a gain decrease `g_new < g_old ≤ 0` on a non-member — a pure
-    ///   sink-arc capacity increase on a vertex the source cannot
-    ///   reach, so no augmenting path can appear and reachability is
-    ///   unchanged;
-    /// * a freeze of a non-member with `g_old ≤ 0` — the same, with
-    ///   the sink cap going to `INF`;
-    /// * a redundant state change on an already-frozen vertex (the
-    ///   engine ignores it entirely);
-    /// * a constraint arc `p → q` whose tail is a non-member (the
-    ///   source cannot reach `p`, so the `INF` arc adds no
-    ///   reachability), or whose endpoints are **both** members (`q` is
-    ///   already reachable, and `q` has no residual path to the sink —
-    ///   otherwise the previous flow was not maximum — so the arc
-    ///   creates no augmenting path either).
-    ///
-    /// Anything touching a source-side capacity, shrinking a sink cap
-    /// (which may force a flow cancellation), or reaching a new vertex
-    /// is conservatively classified as unsafe. The solver's debug-mode
-    /// differential oracle re-derives every served member list from
-    /// scratch, guarding exactly this proof.
-    fn cut_provably_unchanged(&self, system: &ConstraintSystem) -> bool {
-        for &v in &system.gain_log()[self.gain_cursor..] {
-            let v = v as usize;
-            if self.frozen[v] {
-                continue; // permanent; the engine ignores later changes
-            }
-            if self.in_cut[v] {
-                return false; // any cap change on a member can move flow
-            }
-            let g_old = self.gain[v];
-            if g_old > 0 {
-                return false; // source-side capacity is involved
-            }
-            let v_id = VertexId::new(v);
-            if system.is_frozen(v_id) {
-                continue; // sink cap INF: a pure increase on a non-member
-            }
-            let g_new = system.gain(v_id);
-            if g_new > g_old {
-                return false; // sink cap shrink (or sign flip): may cancel
-            }
-        }
-        for &(p, q) in &system.arc_log()[self.arc_cursor..] {
-            if self.in_cut[p as usize] && !self.in_cut[q as usize] {
-                return false; // the INF arc pulls q into the reachable set
-            }
-        }
-        true
     }
 
     /// Applies the pending change-log deltas (the dirty vertices are
@@ -598,8 +525,6 @@ impl IncrementalClosure {
     /// current maximum flow into the cache.
     fn extract(&mut self) {
         self.cached.clear();
-        self.in_cut.clear();
-        self.in_cut.resize(self.n, false);
         if self.flow >= self.total_positive {
             return; // best closure has gain <= 0 (or no positive gain at all)
         }
@@ -619,7 +544,6 @@ impl IncrementalClosure {
         }
         for (v, &reachable) in seen.iter().enumerate().take(self.n).skip(1) {
             if reachable {
-                self.in_cut[v] = true;
                 self.cached.push(VertexId::new(v));
             }
         }

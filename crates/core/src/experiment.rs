@@ -65,9 +65,7 @@ pub struct RunConfig {
     /// (the `retimer --resume` flag; requires [`RunConfig::checkpoint`]).
     pub resume: bool,
     /// Base solver configuration shared by both methods (the MinObs
-    /// baseline additionally applies `with_p2(false)`). Lets embedding
-    /// callers — the serve daemon's per-job configs — select e.g. the
-    /// closure engine without bypassing the experiment driver.
+    /// baseline additionally applies `with_p2(false)`).
     pub solver: SolverConfig,
 }
 
@@ -122,13 +120,6 @@ impl RunConfig {
     /// Resumes from existing checkpoint files.
     pub fn with_resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    /// Sets the base solver configuration (both methods start from it;
-    /// MinObs additionally disables P2).
-    pub fn with_solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
         self
     }
 }

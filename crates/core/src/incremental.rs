@@ -103,10 +103,10 @@ pub struct PerfCounters {
     /// audited divergence; at most one per engine per solve, plus one
     /// for a full-restart verification failure).
     pub breaker_trips: u64,
-    /// Warm-closure selections answered by the provably-unchanged-cut
-    /// fast path: the pending deltas were classified as unable to alter
-    /// the min cut, so they were applied to the residual without a
-    /// resume or re-extraction (see [`crate::closure_inc`]).
+    /// No longer incremented: the warm closure engine's
+    /// provably-unchanged-cut skip, which it counted, never fired on
+    /// any benchmark and was removed. Always 0; kept only so existing
+    /// readers of the counter still compile.
     pub closure_skips: u64,
     /// Violations learned by batched attribution (every violation of a
     /// tentative move is attributed in one pass instead of

@@ -30,7 +30,7 @@
 //!    circuit — no hash iteration, no scheduling dependence.
 
 use crate::circuit::Circuit;
-use crate::gate::{GateId, GateKind};
+use crate::gate::{Gate, GateId, GateKind};
 
 /// Topological layers of a circuit plus the contiguous slot order
 /// described in the module docs.
@@ -89,11 +89,8 @@ impl Levelization {
             + 1;
 
         // Level 0 in the fixed source order: registers, inputs,
-        // constants; levels 1.. sorted by id (stable by construction:
-        // we append in id order).
+        // constants.
         let mut order = Vec::with_capacity(n);
-        let mut bounds = Vec::with_capacity(num_levels + 1);
-        bounds.push(0);
         order.extend_from_slice(circuit.registers());
         order.extend_from_slice(circuit.inputs());
         for (id, gate) in circuit.iter() {
@@ -101,16 +98,27 @@ impl Levelization {
                 order.push(id);
             }
         }
-        bounds.push(order.len());
-        for lvl in 1..num_levels as u32 {
-            for (id, gate) in circuit.iter() {
-                if gate.kind() != GateKind::Dff && level_of[id.index()] == lvl {
-                    order.push(id);
-                }
-            }
-            bounds.push(order.len());
+        // Levels 1.. sorted by id, by a counting sort: size each level,
+        // then place gates in one pass in id order. (A scan of the
+        // circuit per level would cost O(levels · |V|).)
+        let above_zero =
+            |(id, gate): &(GateId, &Gate)| gate.kind() != GateKind::Dff && level_of[id.index()] > 0;
+        let mut bounds = vec![0; num_levels + 1];
+        bounds[1] = order.len();
+        for (id, _) in circuit.iter().filter(above_zero) {
+            bounds[level_of[id.index()] as usize + 1] += 1;
         }
-        debug_assert_eq!(order.len(), n, "every gate gets exactly one slot");
+        for l in 2..=num_levels {
+            bounds[l] += bounds[l - 1];
+        }
+        debug_assert_eq!(bounds[num_levels], n, "every gate gets exactly one slot");
+        let mut next = bounds.clone();
+        order.resize(n, GateId::new(0));
+        for (id, _) in circuit.iter().filter(above_zero) {
+            let slot = &mut next[level_of[id.index()] as usize];
+            order[*slot] = id;
+            *slot += 1;
+        }
 
         let mut slot_of = vec![0usize; n];
         for (slot, &g) in order.iter().enumerate() {
@@ -276,6 +284,36 @@ mod tests {
         assert_eq!(lv.level_of(c.find("x3").unwrap()), 3);
         // The marker observes x3 one level further down.
         assert_eq!(lv.num_levels(), 5);
+    }
+
+    /// The reference slot order: one scan of the circuit per level.
+    fn scanned_order(c: &Circuit, lv: &Levelization) -> Vec<GateId> {
+        let mut order = lv.level(0).to_vec();
+        for lvl in 1..lv.num_levels() {
+            for (id, gate) in c.iter() {
+                if gate.kind() != GateKind::Dff && lv.level_of(id) == lvl {
+                    order.push(id);
+                }
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn slot_order_matches_a_scan_per_level() {
+        let mut circuits = vec![samples::s27_like(), samples::fig1_like()];
+        for seed in 0..4 {
+            circuits.push(
+                crate::generator::GeneratorConfig::new("lv", seed)
+                    .gates(300)
+                    .registers(30)
+                    .build(),
+            );
+        }
+        for c in &circuits {
+            let lv = c.levelize();
+            assert_eq!(lv.slot_order(), scanned_order(c, &lv), "{}", c.name());
+        }
     }
 
     #[test]

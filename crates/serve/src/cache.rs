@@ -1,13 +1,18 @@
 //! The content-addressed result cache, with self-healing storage.
 //!
-//! Three independent stages, each keyed on content rather than on file
-//! names or submission order:
+//! One stage, `result/`, keyed on content rather than on file names or
+//! submission order. A result key is the digest of the parsed circuit
+//! plus the solve-configuration fingerprint ([`config_fingerprint`]);
+//! its payload is the retimed `.bench` text (`<key>.bench`) and a JSON
+//! report (`<key>.meta`). Beside it, `jobs/` holds the recovery files
+//! of unfinished jobs and their solver checkpoints.
 //!
-//! | stage     | key                                    | payload                     |
-//! |-----------|----------------------------------------|-----------------------------|
-//! | `netlist` | digest of the raw submitted bytes      | canonical `.bench` text     |
-//! | `levels`  | digest of the canonical circuit        | levelization summary (JSON) |
-//! | `result`  | circuit digest + config fingerprint    | retimed `.bench` + report   |
+//! The key ignores the job id and the circuit, `.model` or `module`
+//! name: every job parses under one canonical name. It does not ignore
+//! how a format lays the circuit out. BLIF parsing lists registers
+//! first, and the Verilog round trip adds `po*` output buffers, so the
+//! same circuit submitted in two formats may get two keys. That costs
+//! a second solve, never a wrong answer.
 //!
 //! Keys embed the self-describing `fnv1a-v1:` tag, so a cache
 //! directory written by one digest scheme can never be silently
@@ -25,10 +30,10 @@
 //! are never returned to a caller.
 //!
 //! **Size budget**: with [`ResultCache::with_max_bytes`] set, every
-//! store is followed by an LRU eviction pass over the three stage
-//! directories (mtime-ordered; hits touch their entry's mtime, so
-//! recency survives restarts without a sidecar). `jobs/` — recovery
-//! files and in-flight checkpoints — is never evicted.
+//! store is followed by an LRU eviction pass over `result/`
+//! (mtime-ordered; hits touch their entry's mtime, so recency survives
+//! restarts without a sidecar). `jobs/` — recovery files and in-flight
+//! checkpoints — is never evicted.
 //!
 //! Only clean exit-0 results are cached. Degraded results depend on
 //! where a wall-clock budget happened to expire, so caching them would
@@ -40,10 +45,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
-use netlist::digest::{content_digest, format_digest, parse_digest, Fnv1a};
+use netlist::digest::{parse_digest, Fnv1a};
 use netlist::fio;
 
-use crate::job::{ClosureChoice, JobSpec, Method};
+use crate::job::{JobSpec, Method};
 use crate::json::Json;
 
 /// Hit/miss and health counters for the cache. The soak test uses
@@ -52,17 +57,9 @@ use crate::json::Json;
 /// health counters to prove corruption was detected and contained.
 #[derive(Debug, Default)]
 pub struct CacheCounters {
-    /// Netlist-stage hits.
-    pub netlist_hits: AtomicU64,
-    /// Netlist-stage misses.
-    pub netlist_misses: AtomicU64,
-    /// Levelization-stage hits.
-    pub levels_hits: AtomicU64,
-    /// Levelization-stage misses.
-    pub levels_misses: AtomicU64,
-    /// Result-stage hits.
+    /// Result hits.
     pub result_hits: AtomicU64,
-    /// Result-stage misses.
+    /// Result misses.
     pub result_misses: AtomicU64,
     /// Entries that failed verify-on-read (or fsck) and were moved to
     /// `quarantine/`.
@@ -78,7 +75,7 @@ pub struct CacheCounters {
 }
 
 impl CacheCounters {
-    /// Current result-stage hit count.
+    /// Current result hit count.
     pub fn result_hits(&self) -> u64 {
         self.result_hits.load(Ordering::Relaxed)
     }
@@ -102,10 +99,6 @@ impl CacheCounters {
     pub fn to_json(&self) -> Json {
         let n = |c: &AtomicU64| Json::num(c.load(Ordering::Relaxed) as f64);
         Json::obj(vec![
-            ("netlist_hits", n(&self.netlist_hits)),
-            ("netlist_misses", n(&self.netlist_misses)),
-            ("levels_hits", n(&self.levels_hits)),
-            ("levels_misses", n(&self.levels_misses)),
             ("result_hits", n(&self.result_hits)),
             ("result_misses", n(&self.result_misses)),
             ("quarantined", n(&self.quarantined)),
@@ -125,9 +118,9 @@ pub struct FsckReport {
     /// Entries quarantined: bad seal, foreign digest tag, undecodable
     /// job spec or checkpoint.
     pub quarantined: usize,
-    /// Healthy entries kept across the three stage directories.
+    /// Healthy files kept in `result/`.
     pub entries: usize,
-    /// Bytes those healthy stage entries occupy.
+    /// Bytes those healthy files occupy.
     pub bytes: u64,
 }
 
@@ -154,38 +147,29 @@ impl FsckReport {
 pub struct ResultCache {
     root: PathBuf,
     max_bytes: Option<u64>,
-    /// Stage hit/miss and health counters.
+    /// Hit/miss and health counters.
     pub counters: CacheCounters,
-}
-
-/// A cached levelization summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LevelsEntry {
-    /// Combinational levels.
-    pub levels: usize,
-    /// Total gates.
-    pub gates: usize,
-    /// Registers.
-    pub registers: usize,
 }
 
 /// The subdirectory quarantined entries move to.
 const QUARANTINE_DIR: &str = "quarantine";
 
-/// The stage directories subject to verify-on-read and eviction.
-const STAGES: [&str; 3] = ["netlist", "levels", "result"];
+/// The result directory: the one stage subject to verify-on-read and
+/// eviction.
+const RESULT_DIR: &str = "result";
 
 impl ResultCache {
     /// Opens (creating if needed) a cache rooted at `root` with the
-    /// stage subdirectories `netlist/`, `levels/`, `result/`, `jobs/`
-    /// and `quarantine/`.
+    /// subdirectories `result/`, `jobs/` and `quarantine/`. Directories
+    /// an older daemon left beside them (`netlist/`, `levels/`) are
+    /// ignored.
     ///
     /// # Errors
     ///
     /// Propagates directory-creation failures.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Self> {
         let root = root.into();
-        for sub in ["netlist", "levels", "result", "jobs", QUARANTINE_DIR] {
+        for sub in [RESULT_DIR, "jobs", QUARANTINE_DIR] {
             fs::create_dir_all(root.join(sub))?;
         }
         Ok(Self {
@@ -195,17 +179,16 @@ impl ResultCache {
         })
     }
 
-    /// Caps the three stage directories at `max` bytes, enforced by
-    /// LRU eviction after every store (`None`: unbounded). `jobs/`
-    /// and `quarantine/` never count against, and are never evicted
-    /// by, the budget.
+    /// Caps `result/` at `max` bytes, enforced by LRU eviction after
+    /// every store (`None`: unbounded). `jobs/` and `quarantine/` never
+    /// count against, and are never evicted by, the budget.
     #[must_use]
     pub fn with_max_bytes(mut self, max: Option<u64>) -> Self {
         self.max_bytes = max;
         self
     }
 
-    /// The configured stage-size budget, if any.
+    /// The configured `result/` size budget, if any.
     pub fn max_bytes(&self) -> Option<u64> {
         self.max_bytes
     }
@@ -227,73 +210,9 @@ impl ResultCache {
         self.root.join("jobs").join(result_key)
     }
 
-    // ----- netlist stage -------------------------------------------------
+    // ----- results -------------------------------------------------------
 
-    /// The netlist-stage key for raw submitted bytes.
-    pub fn netlist_key(source: &str) -> String {
-        format_digest(content_digest(source.as_bytes()))
-    }
-
-    /// Looks up the canonical `.bench` text for a netlist key.
-    pub fn lookup_netlist(&self, key: &str) -> Option<String> {
-        let hit = self.read_verified(&self.stage_path("netlist", key, "bench"));
-        self.count(
-            hit.is_some(),
-            &self.counters.netlist_hits,
-            &self.counters.netlist_misses,
-        );
-        hit
-    }
-
-    /// Stores the canonical `.bench` text for a netlist key.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures (callers may treat the cache as
-    /// best-effort and continue).
-    pub fn store_netlist(&self, key: &str, canonical_bench: &str) -> io::Result<()> {
-        self.write_sealed(&self.stage_path("netlist", key, "bench"), canonical_bench)
-    }
-
-    // ----- levels stage --------------------------------------------------
-
-    /// Looks up the levelization summary for a circuit digest key.
-    pub fn lookup_levels(&self, key: &str) -> Option<LevelsEntry> {
-        let hit = self
-            .read_verified(&self.stage_path("levels", key, "json"))
-            .and_then(|text| {
-                let v = Json::parse(&text).ok()?;
-                Some(LevelsEntry {
-                    levels: v.get("levels")?.as_u64()? as usize,
-                    gates: v.get("gates")?.as_u64()? as usize,
-                    registers: v.get("registers")?.as_u64()? as usize,
-                })
-            });
-        self.count(
-            hit.is_some(),
-            &self.counters.levels_hits,
-            &self.counters.levels_misses,
-        );
-        hit
-    }
-
-    /// Stores a levelization summary.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn store_levels(&self, key: &str, entry: LevelsEntry) -> io::Result<()> {
-        let body = Json::obj(vec![
-            ("levels", Json::num(entry.levels as f64)),
-            ("gates", Json::num(entry.gates as f64)),
-            ("registers", Json::num(entry.registers as f64)),
-        ]);
-        self.write_sealed(&self.stage_path("levels", key, "json"), &body.to_string())
-    }
-
-    // ----- result stage --------------------------------------------------
-
-    /// The result-stage key: circuit digest plus config fingerprint.
+    /// The result key: circuit digest plus config fingerprint.
     pub fn result_key(circuit_key: &str, fingerprint: u64) -> String {
         format!("{circuit_key}-{fingerprint:016x}")
     }
@@ -302,11 +221,12 @@ impl ResultCache {
     /// JSON report stored by [`ResultCache::store_result`].
     pub fn lookup_result(&self, key: &str) -> Option<(String, Json)> {
         let hit = self.peek_result(key);
-        self.count(
-            hit.is_some(),
-            &self.counters.result_hits,
-            &self.counters.result_misses,
-        );
+        let counter = if hit.is_some() {
+            &self.counters.result_hits
+        } else {
+            &self.counters.result_misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         hit
     }
 
@@ -315,9 +235,8 @@ impl ResultCache {
     /// which say nothing about cache effectiveness. (Verify-on-read
     /// and quarantine still apply: corrupt bytes are never returned.)
     pub fn peek_result(&self, key: &str) -> Option<(String, Json)> {
-        let bench = self.read_verified(&self.stage_path("result", key, "bench"))?;
-        let meta =
-            Json::parse(&self.read_verified(&self.stage_path("result", key, "meta"))?).ok()?;
+        let bench = self.read_verified(&self.result_path(key, "bench"))?;
+        let meta = Json::parse(&self.read_verified(&self.result_path(key, "meta"))?).ok()?;
         Some((bench, meta))
     }
 
@@ -327,8 +246,8 @@ impl ResultCache {
     ///
     /// Propagates I/O failures.
     pub fn store_result(&self, key: &str, bench: &str, meta: &Json) -> io::Result<()> {
-        self.write_sealed(&self.stage_path("result", key, "bench"), bench)?;
-        self.write_sealed(&self.stage_path("result", key, "meta"), &meta.to_string())
+        self.write_sealed(&self.result_path(key, "bench"), bench)?;
+        self.write_sealed(&self.result_path(key, "meta"), &meta.to_string())
     }
 
     // ----- job persistence (restart recovery) ----------------------------
@@ -402,38 +321,36 @@ impl ResultCache {
     /// `.tmp` files (interrupted atomic writes), quarantines entries
     /// that fail their seal or carry a foreign digest tag, validates
     /// persisted job specs and solver checkpoints under `jobs/`,
-    /// rebuilds the stage byte count, and (when a budget is set)
+    /// rebuilds the `result/` byte count, and (when a budget is set)
     /// evicts down to it. The daemon runs this at every startup;
     /// `retimer serve --fsck` runs it standalone.
     pub fn fsck(&self) -> FsckReport {
         let mut report = FsckReport::default();
-        for stage in STAGES {
-            for path in dir_files(&self.root.join(stage)) {
-                if is_tmp(&path) {
-                    if fio::remove_file(&path).is_ok() {
-                        report.tmp_removed += 1;
-                    }
-                    continue;
+        for path in dir_files(&self.root.join(RESULT_DIR)) {
+            if is_tmp(&path) {
+                if fio::remove_file(&path).is_ok() {
+                    report.tmp_removed += 1;
                 }
-                if !valid_key_name(&path) {
-                    self.quarantine(&path, "file name is not a tagged digest key");
+                continue;
+            }
+            if !valid_key_name(&path) {
+                self.quarantine(&path, "file name is not a tagged digest key");
+                report.quarantined += 1;
+                continue;
+            }
+            match fio::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| match fio::unseal(&text) {
+                    Ok(_) => Ok(text.len() as u64),
+                    Err(e) => Err(e.to_string()),
+                }) {
+                Ok(len) => {
+                    report.entries += 1;
+                    report.bytes += len;
+                }
+                Err(reason) => {
+                    self.quarantine(&path, &reason);
                     report.quarantined += 1;
-                    continue;
-                }
-                match fio::read_to_string(&path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|text| match fio::unseal(&text) {
-                        Ok(_) => Ok(text.len() as u64),
-                        Err(e) => Err(e.to_string()),
-                    }) {
-                    Ok(len) => {
-                        report.entries += 1;
-                        report.bytes += len;
-                    }
-                    Err(reason) => {
-                        self.quarantine(&path, &reason);
-                        report.quarantined += 1;
-                    }
                 }
             }
         }
@@ -476,49 +393,46 @@ impl ResultCache {
         report
     }
 
-    /// The bytes currently occupied by healthy entries in the three
-    /// stage directories (`.tmp` orphans excluded).
+    /// The bytes currently occupied by healthy entries in `result/`
+    /// (`.tmp` orphans excluded).
     pub fn stage_bytes(&self) -> u64 {
-        STAGES
-            .iter()
-            .flat_map(|stage| dir_files(&self.root.join(stage)))
+        dir_files(&self.root.join(RESULT_DIR))
+            .into_iter()
             .filter(|p| !is_tmp(p))
             .filter_map(|p| fs::metadata(&p).ok())
             .map(|m| m.len())
             .sum()
     }
 
-    /// Evicts least-recently-used stage entries until the stage
-    /// directories fit the configured budget. A result `bench`+`meta`
-    /// pair is one eviction unit (recency = the newer of the two).
+    /// Evicts least-recently-used results until `result/` fits the
+    /// configured budget. A result `bench`+`meta` pair is one eviction
+    /// unit (recency = the newer of the two).
     fn evict_to_budget(&self) {
         let Some(max) = self.max_bytes else { return };
-        // Collect (newest-mtime, total-size, paths) eviction units.
-        let mut units: Vec<(SystemTime, u64, Vec<PathBuf>)> = Vec::new();
-        for stage in STAGES {
-            let mut groups: std::collections::HashMap<String, (SystemTime, u64, Vec<PathBuf>)> =
-                std::collections::HashMap::new();
-            for path in dir_files(&self.root.join(stage)) {
-                if is_tmp(&path) {
-                    continue;
-                }
-                let Ok(meta) = fs::metadata(&path) else {
-                    continue;
-                };
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                let stem = path
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_default();
-                let entry = groups
-                    .entry(stem)
-                    .or_insert_with(|| (SystemTime::UNIX_EPOCH, 0, Vec::new()));
-                entry.0 = entry.0.max(mtime);
-                entry.1 += meta.len();
-                entry.2.push(path);
+        // Group files into (newest-mtime, total-size, paths) eviction
+        // units by key.
+        let mut groups: std::collections::HashMap<String, (SystemTime, u64, Vec<PathBuf>)> =
+            std::collections::HashMap::new();
+        for path in dir_files(&self.root.join(RESULT_DIR)) {
+            if is_tmp(&path) {
+                continue;
             }
-            units.extend(groups.into_values());
+            let Ok(meta) = fs::metadata(&path) else {
+                continue;
+            };
+            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
+            let stem = path
+                .file_stem()
+                .map(|s| s.to_string_lossy().into_owned())
+                .unwrap_or_default();
+            let entry = groups
+                .entry(stem)
+                .or_insert_with(|| (SystemTime::UNIX_EPOCH, 0, Vec::new()));
+            entry.0 = entry.0.max(mtime);
+            entry.1 += meta.len();
+            entry.2.push(path);
         }
+        let mut units: Vec<_> = groups.into_values().collect();
         let mut total: u64 = units.iter().map(|(_, size, _)| size).sum();
         if total <= max {
             return;
@@ -567,7 +481,7 @@ impl ResultCache {
         );
     }
 
-    /// Reads a stage entry: the file name must carry this build's
+    /// Reads a result file: the file name must carry this build's
     /// digest tag and the sealed payload must verify. Corruption (or
     /// a missing seal — these files are always written sealed) is
     /// quarantined and reported as a miss; hits touch the entry's
@@ -603,7 +517,7 @@ impl ResultCache {
         }
     }
 
-    /// Seals and atomically writes one stage entry, then enforces the
+    /// Seals and atomically writes one result file, then enforces the
     /// size budget.
     fn write_sealed(&self, path: &Path, payload: &str) -> io::Result<()> {
         fio::write_atomic(path, &fio::seal(payload))?;
@@ -611,16 +525,12 @@ impl ResultCache {
         Ok(())
     }
 
-    fn stage_path(&self, stage: &str, key: &str, ext: &str) -> PathBuf {
-        self.root.join(stage).join(format!("{key}.{ext}"))
+    fn result_path(&self, key: &str, ext: &str) -> PathBuf {
+        self.root.join(RESULT_DIR).join(format!("{key}.{ext}"))
     }
 
     fn job_path(&self, id: &str) -> PathBuf {
         self.root.join("jobs").join(format!("{id}.job"))
-    }
-
-    fn count(&self, hit: bool, hits: &AtomicU64, misses: &AtomicU64) {
-        if hit { hits } else { misses }.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -643,16 +553,15 @@ fn is_tmp(path: &Path) -> bool {
         .is_some_and(|n| n.to_string_lossy().ends_with(".tmp"))
 }
 
-/// Whether a stage file's name carries the digest tag this build
+/// Whether a result file's name carries the digest tag this build
 /// understands: a cache written by a future `fnv2-…` scheme is skipped
 /// (a miss), never misinterpreted.
 fn valid_key_name(path: &Path) -> bool {
     let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
         return false;
     };
-    // Result keys are `<tag>:<hex>-<fp>`; stage keys are `<tag>:<hex>`.
-    // The tag itself contains `-`, so split after the `:`-delimited
-    // hex run, not on the first dash.
+    // Result keys are `<tag>:<hex>-<fp>`. The tag itself contains `-`,
+    // so split after the `:`-delimited hex run, not on the first dash.
     let Some(colon) = stem.find(':') else {
         return false;
     };
@@ -674,15 +583,18 @@ fn touch(path: &Path) {
 ///
 /// Every knob that can change the result (or whether the solve
 /// completes cleanly) is hashed: method, simulation shape and seed,
-/// `R_min` override, both budget axes and the closure engine. The
-/// thread count is deliberately **excluded** — the SER engine is
+/// `R_min` override and both budget axes. The thread count is deliberately **excluded** — the SER engine is
 /// bit-identical for every worker count, so the same circuit solved
 /// with 1 or 8 threads shares one cache entry. The `deadline_ms`
 /// admission deadline is likewise excluded: it decides whether a job
 /// runs at all, never what the solve produces.
+///
+/// The tag is `serve-config-v2`: v1 also hashed a closure-engine
+/// choice whose two engines gave bit-identical results, so every v1
+/// key misses once after an upgrade.
 pub fn config_fingerprint(spec: &JobSpec) -> u64 {
     let mut h = Fnv1a::new();
-    h.write_str("serve-config-v1");
+    h.write_str("serve-config-v2");
     h.write_str(match spec.method {
         Method::MinObs => "minobs",
         Method::MinObsWin => "minobswin",
@@ -711,10 +623,6 @@ pub fn config_fingerprint(spec: &JobSpec) -> u64 {
             h.write_u64(n as u64);
         }
     }
-    h.write_str(match spec.closure {
-        ClosureChoice::Warm => "closure-warm",
-        ClosureChoice::Fresh => "closure-fresh",
-    });
     h.finish()
 }
 
@@ -722,6 +630,7 @@ pub fn config_fingerprint(spec: &JobSpec) -> u64 {
 mod tests {
     use super::*;
     use crate::job::NetlistFormat;
+    use netlist::digest::{content_digest, format_digest};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("serve-cache-{tag}-{}", std::process::id()));
@@ -729,34 +638,42 @@ mod tests {
         dir
     }
 
+    /// A tagged result key derived from `text`.
+    fn key(text: &str) -> String {
+        ResultCache::result_key(&format_digest(content_digest(text.as_bytes())), 1)
+    }
+
+    fn exit0() -> Json {
+        Json::obj(vec![("exit", Json::num(0.0))])
+    }
+
+    /// The retimed `.bench` text of a stored result.
+    fn bench_of(cache: &ResultCache, key: &str) -> Option<String> {
+        cache.lookup_result(key).map(|(bench, _)| bench)
+    }
+
     #[test]
     fn stages_round_trip_and_count() {
         let cache = ResultCache::open(tmpdir("stages")).unwrap();
-        let key = ResultCache::netlist_key("INPUT(a)\n");
-        assert!(key.starts_with("fnv1a-v1:"));
-        assert!(cache.lookup_netlist(&key).is_none());
-        cache.store_netlist(&key, "canonical").unwrap();
-        assert_eq!(cache.lookup_netlist(&key).as_deref(), Some("canonical"));
+        let mut subdirs: Vec<String> = fs::read_dir(cache.root())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        subdirs.sort();
+        assert_eq!(subdirs, ["jobs", "quarantine", "result"]);
 
-        let entry = LevelsEntry {
-            levels: 4,
-            gates: 17,
-            registers: 3,
-        };
-        cache.store_levels(&key, entry).unwrap();
-        assert_eq!(cache.lookup_levels(&key), Some(entry));
-
-        let rkey = ResultCache::result_key(&key, 0xabcd);
+        let rkey = key("INPUT(a)\n");
+        assert!(rkey.starts_with("fnv1a-v1:"));
         assert!(cache.lookup_result(&rkey).is_none());
-        let meta = Json::obj(vec![("exit", Json::num(0.0))]);
-        cache.store_result(&rkey, "retimed", &meta).unwrap();
+        cache.store_result(&rkey, "retimed", &exit0()).unwrap();
         let (bench, back) = cache.lookup_result(&rkey).unwrap();
         assert_eq!(bench, "retimed");
         assert_eq!(back.get("exit").and_then(Json::as_u64), Some(0));
+        // A peek is not a lookup: the counters stay put.
+        assert!(cache.peek_result(&rkey).is_some());
 
-        assert_eq!(cache.counters.netlist_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.counters.netlist_misses.load(Ordering::Relaxed), 1);
         assert_eq!(cache.counters.result_hits(), 1);
+        assert_eq!(cache.counters.result_misses.load(Ordering::Relaxed), 1);
         assert_eq!(cache.counters.quarantined(), 0);
         let _ = fs::remove_dir_all(cache.root());
     }
@@ -765,10 +682,11 @@ mod tests {
     fn untagged_keys_are_misses() {
         let cache = ResultCache::open(tmpdir("tags")).unwrap();
         // Simulate an entry written by a different digest scheme.
-        fs::write(cache.root().join("netlist/deadbeef.bench"), "old").unwrap();
-        assert!(cache.lookup_netlist("deadbeef").is_none());
+        fs::write(cache.root().join("result/deadbeef.bench"), "old").unwrap();
+        fs::write(cache.root().join("result/deadbeef.meta"), "{}").unwrap();
+        assert!(cache.lookup_result("deadbeef").is_none());
         // A miss, not corruption: the foreign entry stays untouched.
-        assert!(cache.root().join("netlist/deadbeef.bench").exists());
+        assert!(cache.root().join("result/deadbeef.bench").exists());
         assert_eq!(cache.counters.quarantined(), 0);
         let _ = fs::remove_dir_all(cache.root());
     }
@@ -776,9 +694,11 @@ mod tests {
     #[test]
     fn corrupt_entries_are_quarantined_never_served() {
         let cache = ResultCache::open(tmpdir("verify")).unwrap();
-        let key = ResultCache::netlist_key("INPUT(a)\n");
-        cache.store_netlist(&key, "INPUT(a)\nOUTPUT(a)\n").unwrap();
-        let path = cache.stage_path("netlist", &key, "bench");
+        let rkey = key("INPUT(a)\n");
+        cache
+            .store_result(&rkey, "INPUT(a)\nOUTPUT(a)\n", &exit0())
+            .unwrap();
+        let path = cache.result_path(&rkey, "bench");
 
         // Flip one payload bit on disk, exactly like the chaos plan.
         let mut bytes = fs::read(&path).unwrap();
@@ -786,7 +706,7 @@ mod tests {
         bytes[last] ^= 0x04;
         fs::write(&path, &bytes).unwrap();
 
-        assert!(cache.lookup_netlist(&key).is_none(), "corrupt entry served");
+        assert!(bench_of(&cache, &rkey).is_none(), "corrupt entry served");
         assert!(!path.exists(), "corrupt entry left in place");
         assert_eq!(cache.counters.quarantined(), 1);
         let quarantined = dir_files(&cache.quarantine_dir());
@@ -794,10 +714,12 @@ mod tests {
         // The quarantined bytes are preserved for inspection.
         assert_eq!(fs::read(&quarantined[0]).unwrap(), bytes);
 
-        // The stage heals on the next store.
-        cache.store_netlist(&key, "INPUT(a)\nOUTPUT(a)\n").unwrap();
+        // The entry heals on the next store.
+        cache
+            .store_result(&rkey, "INPUT(a)\nOUTPUT(a)\n", &exit0())
+            .unwrap();
         assert_eq!(
-            cache.lookup_netlist(&key).as_deref(),
+            bench_of(&cache, &rkey).as_deref(),
             Some("INPUT(a)\nOUTPUT(a)\n")
         );
         let _ = fs::remove_dir_all(cache.root());
@@ -806,14 +728,14 @@ mod tests {
     #[test]
     fn truncated_entries_are_quarantined() {
         let cache = ResultCache::open(tmpdir("torn")).unwrap();
-        let key = ResultCache::netlist_key("x");
+        let rkey = key("x");
         cache
-            .store_netlist(&key, &"G = AND(a, b)\n".repeat(10))
+            .store_result(&rkey, &"G = AND(a, b)\n".repeat(10), &exit0())
             .unwrap();
-        let path = cache.stage_path("netlist", &key, "bench");
+        let path = cache.result_path(&rkey, "bench");
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, &text[..text.len() / 2]).unwrap(); // torn
-        assert!(cache.lookup_netlist(&key).is_none());
+        assert!(cache.lookup_result(&rkey).is_none());
         assert_eq!(cache.counters.quarantined(), 1);
         let _ = fs::remove_dir_all(cache.root());
     }
@@ -821,35 +743,38 @@ mod tests {
     #[test]
     fn fsck_removes_tmp_orphans_and_quarantines_undecodables() {
         let cache = ResultCache::open(tmpdir("fsck")).unwrap();
-        let key = ResultCache::netlist_key("good");
-        cache.store_netlist(&key, "good entry").unwrap();
+        let good = key("good");
+        cache.store_result(&good, "good entry", &exit0()).unwrap();
 
-        // An interrupted atomic write, a corrupt sealed entry, and a
+        // An interrupted atomic write, a corrupt sealed file, and a
         // garbage key name that still claims our tag.
-        fs::write(cache.root().join("netlist/half.bench.tmp"), "partial").unwrap();
-        let bad_key = ResultCache::netlist_key("bad");
-        cache.store_netlist(&bad_key, "soon corrupt").unwrap();
-        let bad_path = cache.stage_path("netlist", &bad_key, "bench");
+        fs::write(cache.root().join("result/half.bench.tmp"), "partial").unwrap();
+        let bad = key("bad");
+        cache.store_result(&bad, "soon corrupt", &exit0()).unwrap();
+        let bad_path = cache.result_path(&bad, "bench");
         let mut bytes = fs::read(&bad_path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         fs::write(&bad_path, &bytes).unwrap();
-        fs::write(cache.root().join("levels/garbage.json"), "{}").unwrap();
+        fs::write(cache.root().join("result/garbage.meta"), "{}").unwrap();
 
         let report = cache.fsck();
         assert_eq!(report.tmp_removed, 1);
         assert_eq!(report.quarantined, 2);
-        assert_eq!(report.entries, 1);
+        // The good pair and the bad key's intact `meta`.
+        assert_eq!(report.entries, 3);
         assert!(report.bytes > 0);
         assert!(report.dirty());
-        // The healthy entry still reads back.
-        assert_eq!(cache.lookup_netlist(&key).as_deref(), Some("good entry"));
+        // The healthy entry still reads back; the half-quarantined one
+        // is a miss.
+        assert_eq!(bench_of(&cache, &good).as_deref(), Some("good entry"));
+        assert!(cache.lookup_result(&bad).is_none());
 
         // A second pass is clean and idempotent.
         let again = cache.fsck();
         assert_eq!(
             (again.tmp_removed, again.quarantined, again.entries),
-            (0, 0, 1)
+            (0, 0, 3)
         );
         assert!(!again.dirty());
         let _ = fs::remove_dir_all(cache.root());
@@ -862,8 +787,8 @@ mod tests {
             .unwrap()
             .with_max_bytes(Some(2048));
         for i in 0..12 {
-            let key = ResultCache::netlist_key(&format!("circuit-{i}"));
-            cache.store_netlist(&key, &payload).unwrap();
+            let rkey = key(&format!("circuit-{i}"));
+            cache.store_result(&rkey, &payload, &exit0()).unwrap();
             assert!(
                 cache.stage_bytes() <= 2048,
                 "budget exceeded after store {i}: {} bytes",
@@ -873,11 +798,8 @@ mod tests {
         assert!(cache.counters.evictions() > 0, "evictions never fired");
         assert!(cache.counters.evicted_bytes.load(Ordering::Relaxed) > 0);
         // The most recent entry must have survived (LRU, not random).
-        let newest = ResultCache::netlist_key("circuit-11");
-        assert_eq!(
-            cache.lookup_netlist(&newest).as_deref(),
-            Some(payload.as_str())
-        );
+        let newest = key("circuit-11");
+        assert_eq!(bench_of(&cache, &newest).as_deref(), Some(payload.as_str()));
         let _ = fs::remove_dir_all(cache.root());
     }
 
@@ -889,19 +811,17 @@ mod tests {
         let spec = JobSpec::new("keep-me", "INPUT(a)\n", NetlistFormat::Bench);
         cache.persist_job(&spec).unwrap();
 
-        let rkey = ResultCache::result_key(&ResultCache::netlist_key("c"), 1);
-        let meta = Json::obj(vec![("exit", Json::num(0.0))]);
-        cache.store_result(&rkey, "retimed", &meta).unwrap();
+        let rkey = key("c");
+        cache.store_result(&rkey, "retimed", &exit0()).unwrap();
         assert!(cache.peek_result(&rkey).is_none(), "pair must be evicted");
         assert!(
-            !cache.stage_path("result", &rkey, "meta").exists(),
+            !cache.result_path(&rkey, "meta").exists(),
             "meta must go with its bench"
         );
         // jobs/ is never evicted.
         assert_eq!(cache.scan_jobs(), vec![spec]);
         let _ = fs::remove_dir_all(cache.root());
     }
-
     #[test]
     fn job_persistence_round_trips() {
         let cache = ResultCache::open(tmpdir("jobs")).unwrap();
@@ -964,8 +884,5 @@ mod tests {
         let mut t = base.clone();
         t.time_budget = Some(5.0);
         assert_ne!(config_fingerprint(&t), fp);
-        let mut c = base.clone();
-        c.closure = ClosureChoice::Fresh;
-        assert_ne!(config_fingerprint(&c), fp);
     }
 }

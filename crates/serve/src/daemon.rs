@@ -13,8 +13,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use minobswin::algorithm::SolverConfig;
-use minobswin::closure_inc::ClosureEngine;
 use minobswin::experiment::{self, checkpoint_path, RunConfig};
 use minobswin::supervisor::ProgressFn;
 use minobswin::{CancelToken, SolveBudget, SolveProgress};
@@ -22,8 +20,8 @@ use netlist::digest::{circuit_digest, format_digest};
 use netlist::parallel::resolve_workers;
 use netlist::{bench_format, Circuit, Levelization, ParseLimits};
 
-use crate::cache::{config_fingerprint, LevelsEntry, ResultCache};
-use crate::job::{ClosureChoice, JobId, JobSpec, JobState, NetlistFormat};
+use crate::cache::{config_fingerprint, ResultCache};
+use crate::job::{JobId, JobSpec, JobState, NetlistFormat};
 use crate::json::Json;
 
 /// All jobs are parsed under this circuit name so the canonical text
@@ -47,7 +45,7 @@ pub struct ServeConfig {
     pub default_time_budget: Option<f64>,
     /// Default per-job iteration budget.
     pub default_max_iters: Option<usize>,
-    /// Size budget for the cache's stage directories, enforced by LRU
+    /// Size budget for the cache's `result/` directory, enforced by LRU
     /// eviction (`None`: unbounded). See
     /// [`ResultCache::with_max_bytes`].
     pub cache_max_bytes: Option<u64>,
@@ -112,7 +110,7 @@ pub enum Event {
         /// Job id.
         id: JobId,
     },
-    /// The netlist parsed (or was served from the netlist cache).
+    /// The netlist parsed.
     Parsed {
         /// Job id.
         id: JobId,
@@ -120,17 +118,14 @@ pub enum Event {
         key: String,
         /// Gates in the circuit.
         gates: usize,
-        /// Whether the netlist stage was a cache hit.
-        cached: bool,
     },
-    /// The circuit is levelized; the solve is starting.
+    /// The circuit is levelized; the result lookup (and, on a miss,
+    /// the solve) is next.
     Levelized {
         /// Job id.
         id: JobId,
         /// Combinational levels.
         levels: usize,
-        /// Whether the levelization stage was a cache hit.
-        cached: bool,
     },
     /// Periodic solver progress. A job solves only its own method, so
     /// all of its iteration events carry that method.
@@ -571,13 +566,10 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
         return;
     }
 
-    // --- parse (netlist cache stage) ---------------------------------
+    // --- parse and levelize ------------------------------------------
     shared.set_state(id, JobState::Parsing);
     shared.emit(Event::Parsing { id: id.to_string() });
-    let netlist_key = ResultCache::netlist_key(&spec.source);
-    let cached_canonical = shared.cache.lookup_netlist(&netlist_key);
-    let from_cache = cached_canonical.is_some();
-    let circuit = match parse_job(&spec, cached_canonical) {
+    let circuit = match parse_job(&spec) {
         Ok(c) => c,
         Err(e) => {
             let error = e.to_string();
@@ -586,39 +578,19 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
             return;
         }
     };
-    if !from_cache {
-        let _ = shared
-            .cache
-            .store_netlist(&netlist_key, &bench_format::write(&circuit));
-    }
     let circuit_key = format_digest(circuit_digest(&circuit));
     shared.emit(Event::Parsed {
         id: id.to_string(),
         key: circuit_key.clone(),
         gates: circuit.len(),
-        cached: from_cache,
-    });
-
-    // --- levelization cache stage ------------------------------------
-    let levels = shared.cache.lookup_levels(&circuit_key);
-    let levels_cached = levels.is_some();
-    let levels = levels.unwrap_or_else(|| {
-        let entry = LevelsEntry {
-            levels: Levelization::of(&circuit).num_levels(),
-            gates: circuit.len(),
-            registers: circuit.num_registers(),
-        };
-        let _ = shared.cache.store_levels(&circuit_key, entry);
-        entry
     });
     shared.set_state(id, JobState::Levelized);
     shared.emit(Event::Levelized {
         id: id.to_string(),
-        levels: levels.levels,
-        cached: levels_cached,
+        levels: Levelization::of(&circuit).num_levels(),
     });
 
-    // --- result cache stage ------------------------------------------
+    // --- result cache ------------------------------------------------
     let result_key = ResultCache::result_key(&circuit_key, config_fingerprint(&spec));
     {
         let mut st = shared.state.lock().expect("daemon state poisoned");
@@ -640,10 +612,6 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
         )
         .with_max_iterations(spec.max_iters.or(shared.defaults.1))
         .with_token(token);
-    let solver = match spec.closure {
-        ClosureChoice::Warm => SolverConfig::default(),
-        ClosureChoice::Fresh => SolverConfig::default().with_closure_engine(ClosureEngine::Fresh),
-    };
 
     let checkpoint_prefix = shared.cache.checkpoint_prefix(&result_key);
     let method = spec.method.name();
@@ -672,8 +640,7 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
         .with_r_min_override(spec.r_min)
         .with_budget(budget)
         .with_checkpoint(Some(checkpoint_prefix.clone()))
-        .with_resume(true)
-        .with_solver(solver);
+        .with_resume(true);
 
     // Only the job's own method is solved.
     let solved = experiment::prepare(&circuit, &cfg).and_then(|prepared| {
@@ -740,32 +707,21 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     finish(JobState::Done, false, Some(result_key));
 }
 
-fn parse_job(
-    spec: &JobSpec,
-    cached_canonical: Option<String>,
-) -> Result<Circuit, netlist::NetlistError> {
-    if let Some(text) = cached_canonical {
-        // The cache stores text this crate wrote; if it somehow fails
-        // to parse (truncated disk, manual edit) fall back to the
-        // submitted source rather than failing the job.
-        if let Ok(c) = bench_format::parse(&text, CANONICAL_NAME) {
-            return Ok(c);
-        }
-    }
+fn parse_job(spec: &JobSpec) -> Result<Circuit, netlist::NetlistError> {
     let limits = ParseLimits::default();
     let parsed = spec
         .format
         .parse_str(&spec.source, CANONICAL_NAME, &limits)?;
-    // `.bench` carries the canonical name already; the other formats
-    // round-trip through it so every format shares one key space.
+    // `.bench` carries the canonical name already; BLIF and Verilog
+    // take theirs from `.model`/`module`, so they are renamed.
     Ok(match spec.format {
         NetlistFormat::Bench => parsed,
         NetlistFormat::Blif | NetlistFormat::Verilog => rename_canonical(parsed),
     })
 }
 
-/// Round-trips a circuit through `.bench` under the canonical name so
-/// every format shares one content-addressed key space.
+/// Round-trips a circuit through `.bench` under the canonical name, so
+/// the `.model`/`module` name never reaches the cache key.
 fn rename_canonical(circuit: Circuit) -> Circuit {
     let text = bench_format::write(&circuit);
     bench_format::parse(&text, CANONICAL_NAME)

@@ -35,40 +35,6 @@ pub fn format_from_name(name: &str) -> Result<NetlistFormat, String> {
 /// protocol name is [`Method::name`]).
 pub use minobswin::experiment::Method;
 
-/// Which closure engine a job's solver uses (part of the config
-/// fingerprint; see `cache::config_fingerprint`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClosureChoice {
-    /// The warm-started incremental engine (default).
-    #[default]
-    Warm,
-    /// From-scratch Dinic builds every call.
-    Fresh,
-}
-
-impl ClosureChoice {
-    /// The protocol name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ClosureChoice::Warm => "warm",
-            ClosureChoice::Fresh => "fresh",
-        }
-    }
-
-    /// Parses a protocol name.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown engine.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "warm" => Ok(ClosureChoice::Warm),
-            "fresh" => Ok(ClosureChoice::Fresh),
-            other => Err(format!("unknown closure engine `{other}` (warm|fresh)")),
-        }
-    }
-}
-
 /// One job: a netlist (inline source; the server resolves `path`
 /// submissions to content before admission, so the cache is keyed on
 /// content, never on file names) plus the solve configuration.
@@ -99,8 +65,6 @@ pub struct JobSpec {
     pub time_budget: Option<f64>,
     /// Iteration budget (`None`: the daemon default).
     pub max_iters: Option<usize>,
-    /// Solver closure engine.
-    pub closure: ClosureChoice,
     /// Admission deadline in milliseconds: if the job is still queued
     /// this long after admission, a worker rejects it as
     /// [`JobState::Expired`] instead of running it (`None`: wait
@@ -124,7 +88,6 @@ impl JobSpec {
             r_min: None,
             time_budget: None,
             max_iters: None,
-            closure: ClosureChoice::default(),
             deadline_ms: None,
         }
     }
@@ -153,7 +116,6 @@ impl JobSpec {
             ("frames", Json::num(self.frames as f64)),
             ("seed", Json::num(self.seed as f64)),
             ("threads", Json::num(self.threads as f64)),
-            ("closure", Json::str(self.closure.name())),
         ];
         if let Some(r) = self.r_min {
             pairs.push(("r_min", Json::num(r as f64)));
@@ -172,6 +134,9 @@ impl JobSpec {
 
     /// Parses the JSON shape of [`JobSpec::to_json`] (also the
     /// `submit` request body, minus the server-resolved `path` form).
+    /// Unknown keys are ignored, so a recovery file written by an older
+    /// daemon (one carrying the retired `closure` option, say) still
+    /// parses.
     ///
     /// # Errors
     ///
@@ -195,10 +160,6 @@ impl JobSpec {
         let mut spec = JobSpec::new(id, source, format);
         if let Some(m) = v.get("method") {
             spec.method = Method::from_name(m.as_str().ok_or("`method` must be a string")?)?;
-        }
-        if let Some(c) = v.get("closure") {
-            spec.closure =
-                ClosureChoice::from_name(c.as_str().ok_or("`closure` must be a string")?)?;
         }
         let uint = |key: &str| -> Result<Option<u64>, String> {
             match v.get(key) {
@@ -335,11 +296,17 @@ mod tests {
         spec.r_min = Some(-3);
         spec.time_budget = Some(1.5);
         spec.max_iters = Some(99);
-        spec.closure = ClosureChoice::Fresh;
         spec.deadline_ms = Some(2_500);
         let json = spec.to_json().to_string();
         let back = JobSpec::from_json(&Json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, spec);
+        // Unknown keys, such as an older daemon's `closure`, are ignored.
+        let mut old = spec.to_json();
+        if let Json::Obj(pairs) = &mut old {
+            pairs.push(("closure".into(), Json::str("fresh")));
+            pairs.push(("future_knob".into(), Json::num(7.0)));
+        }
+        assert_eq!(JobSpec::from_json(&old).unwrap(), spec);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! protocol carries its own JSON layer: the subset the newline-
 //! delimited protocol needs — objects, arrays, strings with standard
 //! escapes, `f64` numbers, booleans, null — parsed by a small
-//! recursive-descent parser with a depth limit.
+//! recursive-descent parser with a depth limit. `{}` writes compact
+//! one-line JSON (the protocol's wire form); `{:#}` writes it indented
+//! two spaces per level (the tracked `BENCH_*.json` files).
 
 use std::fmt;
 
@@ -64,6 +66,13 @@ impl Json {
         Json::Num(n.into())
     }
 
+    /// A number rounded to `places` decimals, as `{:.N}` would print
+    /// it (trailing zeros aside).
+    pub fn rounded(n: f64, places: i32) -> Json {
+        let scale = 10f64.powi(places);
+        Json::Num((n * scale).round() / scale)
+    }
+
     /// Object field lookup (first match; `None` on non-objects).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -116,6 +125,9 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if f.alternate() {
+            return write_pretty(f, self, 0);
+        }
         match self {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
@@ -150,6 +162,34 @@ impl fmt::Display for Json {
             }
         }
     }
+}
+
+/// The `{:#}` form: one array item or object member per line, indented
+/// two spaces per nesting level, `"key": value` members.
+fn write_pretty(f: &mut fmt::Formatter<'_>, v: &Json, depth: usize) -> fmt::Result {
+    let (open, close, members): (char, char, Vec<(Option<&str>, &Json)>) = match v {
+        Json::Arr(items) if !items.is_empty() => {
+            ('[', ']', items.iter().map(|i| (None, i)).collect())
+        }
+        Json::Obj(pairs) if !pairs.is_empty() => (
+            '{',
+            '}',
+            pairs.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        ),
+        scalar => return write!(f, "{scalar}"),
+    };
+    let pad = "  ".repeat(depth + 1);
+    writeln!(f, "{open}")?;
+    for (i, (key, item)) in members.iter().enumerate() {
+        write!(f, "{pad}")?;
+        if let Some(key) = key {
+            write_escaped(f, key)?;
+            write!(f, ": ")?;
+        }
+        write_pretty(f, item, depth + 1)?;
+        writeln!(f, "{}", if i + 1 < members.len() { "," } else { "" })?;
+    }
+    write!(f, "{}{close}", "  ".repeat(depth))
 }
 
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
@@ -430,6 +470,31 @@ mod tests {
         assert_eq!(Json::num(4u32).to_string(), "4");
         assert_eq!(Json::num(2.5).to_string(), "2.5");
         assert_eq!(Json::Num(-0.0).to_string(), "0");
+    }
+
+    #[test]
+    fn pretty_form_indents_and_reparses() {
+        let doc = Json::obj(vec![
+            ("name", Json::str("a\"b")),
+            ("empty", Json::Arr(vec![])),
+            (
+                "rows",
+                Json::Arr(vec![Json::obj(vec![("x", Json::num(1.0))])]),
+            ),
+        ]);
+        let pretty = format!("{doc:#}");
+        assert_eq!(
+            pretty,
+            "{\n  \"name\": \"a\\\"b\",\n  \"empty\": [],\n  \"rows\": [\n    {\n      \"x\": 1\n    }\n  ]\n}"
+        );
+        assert_eq!(Json::parse(&pretty).unwrap(), doc);
+    }
+
+    #[test]
+    fn rounded_numbers_print_like_fixed_precision() {
+        assert_eq!(Json::rounded(0.000_216_4, 6).to_string(), "0.000216");
+        assert_eq!(Json::rounded(14.818_18, 3).to_string(), "14.818");
+        assert_eq!(Json::rounded(3.0, 3).to_string(), "3");
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!   explicit-flag → `SER_THREADS` → hardware precedence as every
 //!   other parallel surface, per-job cancellation tokens and budget
 //!   defaults, and a graceful drain.
-//! - **Cache** ([`cache`]): content-addressed storage keyed on tagged
-//!   FNV digests (`fnv1a-v1:…`) with independent entries for the
-//!   parsed netlist, the levelization and the solve result;
-//!   resubmitting a completed job is a counter-verified cache hit. Job
-//!   specs persist until terminal, so a killed daemon re-enqueues
-//!   in-flight jobs on restart and resumes their solver checkpoints.
+//! - **Cache** ([`cache`]): content-addressed solve results keyed on
+//!   tagged FNV digests (`fnv1a-v1:…`) of the parsed circuit and the
+//!   solve configuration; resubmitting a completed job is a
+//!   counter-verified cache hit. Job specs persist until terminal, so
+//!   a killed daemon re-enqueues in-flight jobs on restart and resumes
+//!   their solver checkpoints.
 //!
 //! The serialization layer ([`json`]) is hand-rolled: the workspace
 //! deliberately has no external dependencies.
@@ -35,7 +35,7 @@ pub mod server;
 
 pub use cache::{config_fingerprint, CacheCounters, ResultCache};
 pub use daemon::{Daemon, Event, ServeConfig, SubmitError};
-pub use job::{format_from_name, ClosureChoice, JobSpec, JobState, Method, NetlistFormat};
+pub use job::{format_from_name, JobSpec, JobState, Method, NetlistFormat};
 #[cfg(unix)]
 pub use server::run_socket;
 pub use server::run_stdio;

@@ -34,22 +34,15 @@ pub fn event_to_json(event: &Event) -> Json {
     match event {
         Event::Queued { id } => Json::obj(base("queued", id)),
         Event::Parsing { id } => Json::obj(base("parsing", id)),
-        Event::Parsed {
-            id,
-            key,
-            gates,
-            cached,
-        } => {
+        Event::Parsed { id, key, gates } => {
             let mut o = base("parsed", id);
             o.push(("key", Json::str(key)));
             o.push(("gates", Json::num(*gates as f64)));
-            o.push(("cached", Json::Bool(*cached)));
             Json::obj(o)
         }
-        Event::Levelized { id, levels, cached } => {
+        Event::Levelized { id, levels } => {
             let mut o = base("levelized", id);
             o.push(("levels", Json::num(*levels as f64)));
-            o.push(("cached", Json::Bool(*cached)));
             Json::obj(o)
         }
         Event::Iteration {

@@ -308,8 +308,8 @@ fn capped_cache_stays_under_budget_with_evictions() {
     config.cache_max_bytes = Some(budget);
     let daemon = Daemon::start(config).expect("daemon boots");
 
-    // 12 distinct circuits, each leaving netlist + levels + result
-    // entries behind; far more than 16 KiB in aggregate.
+    // 12 distinct circuits, each leaving a result entry behind; far
+    // more than 16 KiB in aggregate.
     let mut ids = Vec::new();
     for k in 0..12u64 {
         let source = bench_format::write(
@@ -339,7 +339,7 @@ fn capped_cache_stays_under_budget_with_evictions() {
     let used = daemon.cache().stage_bytes();
     assert!(
         used <= budget,
-        "stage directories over budget after drain: {used} > {budget}"
+        "result/ over budget after drain: {used} > {budget}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -375,7 +375,7 @@ fn restart_after_chaos_heals_and_serves() {
 
     // The second daemon fscks at startup, then serves normally.
     let daemon = start_daemon(&dir, 2);
-    for stage in ["netlist", "levels", "result", "jobs"] {
+    for stage in ["result", "jobs"] {
         let leftovers: Vec<_> = std::fs::read_dir(dir.join(stage))
             .map(|rd| {
                 rd.filter_map(Result::ok)

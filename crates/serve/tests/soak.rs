@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use netlist::{bench_format, generator::GeneratorConfig, samples};
 use serve::daemon::{Daemon, Event, ServeConfig, SubmitError};
 use serve::job::{JobSpec, JobState, NetlistFormat};
+use serve::json::Json;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("serve-soak-{tag}-{}", std::process::id()));
@@ -241,6 +242,46 @@ fn restart_recovers_persisted_jobs() {
         JobState::Done,
         "recovered job must run to completion"
     );
+    daemon.drain();
+    assert!(daemon.cache().scan_jobs().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A recovery file written by a daemon that still had the `closure`
+/// job option carries a `"closure"` key. A current daemon started on
+/// that cache must recover the job, not quarantine it, and finish it.
+#[test]
+fn restart_recovers_a_job_file_with_the_retired_closure_key() {
+    let dir = tmpdir("restart-closure");
+    let spec = real_spec("old-1", &bench_format::write(&samples::s27_like()));
+    // The old writer's exact key order.
+    let old = Json::obj(vec![
+        ("id", Json::str(&spec.id)),
+        ("source", Json::str(&spec.source)),
+        ("format", Json::str("bench")),
+        ("method", Json::str(spec.method.name())),
+        ("vectors", Json::num(spec.vectors as f64)),
+        ("frames", Json::num(spec.frames as f64)),
+        ("seed", Json::num(spec.seed as f64)),
+        ("threads", Json::num(spec.threads as f64)),
+        ("closure", Json::str("fresh")),
+    ]);
+    std::fs::create_dir_all(dir.join("jobs")).unwrap();
+    std::fs::write(
+        dir.join("jobs/old-1.job"),
+        netlist::fio::seal(&old.to_string()),
+    )
+    .unwrap();
+
+    let mut config = ServeConfig::new(&dir);
+    config.workers = 1;
+    let daemon = Daemon::start(config).expect("daemon boots");
+    assert_eq!(
+        wait_terminal(&daemon, "old-1", Duration::from_secs(120)),
+        JobState::Done,
+        "a job file carrying `closure` must be re-enqueued and finish"
+    );
+    assert_eq!(daemon.cache().counters.quarantined(), 0);
     daemon.drain();
     assert!(daemon.cache().scan_jobs().is_empty());
     let _ = std::fs::remove_dir_all(&dir);
