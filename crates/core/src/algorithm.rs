@@ -329,9 +329,14 @@ fn solve_loop(
     stats: &mut SolverStats,
     mut seed: Option<PhaseSeed>,
 ) -> Result<Retiming, SolveError> {
-    // Hoisted out of the phase loop: the cap only depends on |V|.
+    // Hoisted out of the phase loop: the caps only depend on the graph.
     let n = graph.num_vertices();
-    let iteration_cap = config.max_iterations.unwrap_or(8 * n * n + 10_000);
+    let caps = Caps {
+        iterations: config.max_iterations.unwrap_or(8 * n * n + 10_000),
+        // Moving more registers over one vertex than the circuit
+        // contains can never be required by a satisfiable fix.
+        link_weight: graph.total_registers() as i64 + n as i64,
+    };
     let mut r = initial;
     // The paper's schedule is the single descent phase. With
     // `bidirectional`, alternate descent and ascent until neither
@@ -353,7 +358,7 @@ fn solve_loop(
                 problem,
                 r,
                 config,
-                iteration_cap,
+                caps,
                 Direction::Decrease,
                 stats,
                 rt,
@@ -374,7 +379,7 @@ fn solve_loop(
                 problem,
                 r,
                 config,
-                iteration_cap,
+                caps,
                 Direction::Increase,
                 stats,
                 rt,
@@ -390,6 +395,16 @@ fn solve_loop(
         }
     }
     Ok(r)
+}
+
+/// Per-solve limits, computed once from the graph.
+#[derive(Debug, Clone, Copy)]
+struct Caps {
+    /// Iterations one phase may run before the safety cap fires.
+    iterations: usize,
+    /// The largest link weight a request may carry; heavier requests
+    /// freeze instead (see [`apply_request`]).
+    link_weight: i64,
 }
 
 /// Which way registers move in the current phase.
@@ -444,7 +459,7 @@ fn run_phase(
     problem: &Problem,
     mut r: Retiming,
     config: SolverConfig,
-    iteration_cap: usize,
+    caps: Caps,
     direction: Direction,
     stats: &mut SolverStats,
     rt: &mut SupervisorRt,
@@ -482,6 +497,8 @@ fn run_phase(
     // (`clone_from` copies in place): the solver loop performs no
     // per-iteration retiming allocation.
     let mut r_tent = r.clone();
+    // Move-set membership for attribution, set and cleared per batch.
+    let mut in_move = vec![false; graph.num_vertices()];
     let mut local_iterations = 0usize;
     loop {
         // Cooperative budget check: deadline / token / iteration /
@@ -502,11 +519,12 @@ fn run_phase(
         stats.iterations += 1;
         local_iterations += 1;
         rt.tick_progress(stats.iterations, stats.commits);
-        if local_iterations > iteration_cap {
+        if local_iterations > caps.iterations {
             eprintln!(
                 "warning: minobswin solver hit the iteration safety cap \
-                 [phase={direction:?} cap={iteration_cap} vertices={} commits={} \
+                 [phase={direction:?} cap={} vertices={} commits={} \
                  constraints={} freezes={}]",
+                caps.iterations,
                 graph.num_vertices() - 1,
                 stats.commits,
                 stats.constraints_added,
@@ -676,6 +694,9 @@ fn run_phase(
             // both engines learn identically.
             let mut changed = false;
             let mut anchor: Option<VertexId> = None;
+            for &v in &move_set {
+                in_move[v.index()] = true;
+            }
             for violation in &verdicts {
                 match violation {
                     Violation::P0 { .. } => stats.p0_fixes += 1,
@@ -684,14 +705,17 @@ fn run_phase(
                 }
                 stats.perf.violations_batched += 1;
                 let request = attribute(
-                    graph, &system, &move_set, &r_tent, violation, direction, stats,
+                    graph, &system, &move_set, &in_move, &r_tent, violation, direction, stats,
                 );
                 if anchor.is_none() {
                     anchor = Some(match request {
                         Request::Link { p, .. } | Request::Freeze(p) => p,
                     });
                 }
-                changed |= apply_request(graph, &mut system, request, stats);
+                changed |= apply_request(&mut system, request, caps.link_weight, stats);
+            }
+            for &v in &move_set {
+                in_move[v.index()] = false;
             }
             if !changed {
                 // The whole batch was a no-op: the same violations would
@@ -741,14 +765,15 @@ enum Request {
     Freeze(VertexId),
 }
 
-/// Applies one learned constraint request. Returns whether the system
+/// Applies one learned constraint request; a link heavier than
+/// `weight_cap` freezes its target instead. Returns whether the system
 /// effectively changed — a batch in which *no* request changed
 /// anything would recur forever, and the caller's escape hatch freezes
 /// the anchor vertex to guarantee progress.
 fn apply_request(
-    graph: &RetimeGraph,
     system: &mut ConstraintSystem,
     request: Request,
+    weight_cap: i64,
     stats: &mut SolverStats,
 ) -> bool {
     match request {
@@ -761,9 +786,6 @@ fn apply_request(
             true
         }
         Request::Link { p, q, weight } => {
-            // Moving more registers over one vertex than the circuit
-            // contains can never be required by a satisfiable fix.
-            let weight_cap = graph.total_registers() as i64 + graph.num_vertices() as i64;
             if weight > weight_cap {
                 if system.is_frozen(q) {
                     return false;
@@ -786,17 +808,19 @@ fn apply_request(
 }
 
 /// Derives the active-constraint request for a violation found under
-/// the tentative move.
+/// the tentative move. `in_move` marks the members of `move_set`.
+#[allow(clippy::too_many_arguments)] // internal: one call site, all context
 fn attribute(
     graph: &RetimeGraph,
     system: &ConstraintSystem,
     move_set: &[VertexId],
+    in_move: &[bool],
     r_tent: &Retiming,
     violation: &Violation,
     direction: Direction,
     stats: &mut SolverStats,
 ) -> Request {
-    let in_move = |v: VertexId| move_set.contains(&v);
+    let in_move = |v: VertexId| in_move[v.index()];
     let planned = |v: VertexId| if in_move(v) { system.weight(v) } else { 0 };
     let pick_p = |candidates: &[VertexId], stats: &mut SolverStats| -> VertexId {
         for &c in candidates {

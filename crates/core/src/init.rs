@@ -30,6 +30,10 @@ pub struct InitResult {
     pub used_setup_hold: bool,
     /// The unrelaxed minimum period found.
     pub phi_min: i64,
+    /// FEAS rounds the period searches ran (setup/hold, then the
+    /// min-period fallback when it is taken). A work counter: the FEAS
+    /// certificate keeps it far below the `|V|`-per-probe round bound.
+    pub feas_rounds: u64,
 }
 
 /// Initialization knobs.
@@ -107,15 +111,20 @@ fn run_init(graph: &RetimeGraph, config: InitConfig) -> Result<InitResult, Solve
     let trace = std::env::var_os("MINOBSWIN_TRACE").is_some();
     let t0 = std::time::Instant::now();
 
-    let sh = setup_hold::min_period_setup_hold(graph, config.t_setup, config.t_hold);
+    let search = setup_hold::min_period_setup_hold(graph, config.t_setup, config.t_hold);
     if trace {
         eprintln!(
-            "init: min_period_setup_hold {} in {:.3}s",
-            if sh.is_some() { "found" } else { "none" },
+            "init: min_period_setup_hold {} after {} FEAS rounds in {:.3}s",
+            if search.result.is_some() {
+                "found"
+            } else {
+                "none"
+            },
+            search.feas_rounds,
             t0.elapsed().as_secs_f64()
         );
     }
-    if let Some(sh) = sh {
+    if let Some(sh) = search.result {
         let phi = relax(sh.phi);
         // Re-derive the retiming at the relaxed period for slack.
         let t1 = std::time::Instant::now();
@@ -145,6 +154,7 @@ fn run_init(graph: &RetimeGraph, config: InitConfig) -> Result<InitResult, Solve
             retiming,
             used_setup_hold: true,
             phi_min: sh.phi,
+            feas_rounds: search.feas_rounds,
         });
     }
 
@@ -153,8 +163,9 @@ fn run_init(graph: &RetimeGraph, config: InitConfig) -> Result<InitResult, Solve
     let mp = minperiod::min_period(graph).map_err(|e| SolveError::Initialization(e.to_string()))?;
     if trace {
         eprintln!(
-            "init: min_period fallback phi {} in {:.3}s total",
+            "init: min_period fallback phi {} after {} FEAS rounds in {:.3}s total",
             mp.phi,
+            mp.feas_rounds,
             t0.elapsed().as_secs_f64()
         );
     }
@@ -166,6 +177,7 @@ fn run_init(graph: &RetimeGraph, config: InitConfig) -> Result<InitResult, Solve
         retiming,
         used_setup_hold: false,
         phi_min: mp.phi,
+        feas_rounds: search.feas_rounds + mp.feas_rounds,
     })
 }
 
@@ -227,6 +239,29 @@ mod tests {
             .unwrap();
         assert!(!init.used_setup_hold);
         assert_eq!(init.r_min, 1, "minimum unit gate delay");
+    }
+
+    /// Work counter for the FEAS certificate. The b19 twin at Table I's
+    /// default scale takes the min-period fallback, and its searches
+    /// probe many infeasible periods; without the certificate each of
+    /// those runs |V| rounds. A regression to round-bound behaviour
+    /// fails here, not only in a slow run.
+    #[test]
+    fn b19_twin_init_runs_few_feas_rounds() {
+        use netlist::generator::{table1_twin, TABLE1_ROWS};
+        let row = TABLE1_ROWS.iter().find(|row| row.name == "b19").unwrap();
+        // Table I's default scale: 16, times 4 for the giant circuits.
+        let circuit = table1_twin(row, 16 * 4);
+        let g = RetimeGraph::from_circuit(&circuit, &DelayModel::default()).unwrap();
+        let init = InitConfig::default().initialize(&g).unwrap();
+        assert!(!init.used_setup_hold, "b19's twin takes the fallback");
+        // 53 rounds with the certificate, against |V| = 3510.
+        assert!(
+            init.feas_rounds < 200,
+            "{} FEAS rounds for |V| = {}",
+            init.feas_rounds,
+            g.num_vertices()
+        );
     }
 
     #[test]

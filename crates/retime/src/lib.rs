@@ -11,7 +11,9 @@
 //! * [`labels`]: the paper's `L`/`R` error-latching-window bound labels
 //!   (eq. 6) with critical witnesses and P1/P2 violation finding,
 //! * [`minperiod`]: FEAS-based min-period retiming with `O(|E|)` memory
-//!   (ingredient `\[24\]` of the paper's initialization),
+//!   (ingredient `\[24\]` of the paper's initialization); an infeasible
+//!   FEAS probe stops at the first critical-path cycle that proves it,
+//!   not at the `|V|` round bound,
 //! * [`setup_hold`]: retiming under setup and hold constraints
 //!   (ingredient `\[23\]`),
 //! * [`flow`]/[`minarea_ref`]: an **exact** `W`/`D`-matrix +
@@ -42,6 +44,7 @@
 
 pub mod apply;
 mod error;
+mod feas;
 pub mod flow;
 mod graph;
 pub mod labels;

@@ -5,30 +5,37 @@
 //! paper's largest (b19-sized) circuits.
 
 use crate::error::RetimeError;
+use crate::feas::{oracle_applies, Feas};
 use crate::graph::{RetimeGraph, Retiming, VertexId};
-use crate::timing::{
-    clock_period, is_combinational_edge, zero_weight_topo, ArrivalScratch, ArrivalTimes,
-};
+use crate::timing::{clock_period, is_combinational_edge, zero_weight_topo, ArrivalTimes};
 
 /// Runs the FEAS relaxation: starting from `r = 0`, repeatedly
 /// increments `r(v)` for every vertex whose arrival time exceeds `phi`.
 /// Returns a verified-feasible retiming with clock period ≤ `phi`, or
-/// `None` if FEAS fails to converge (for `phi` below the true minimum,
-/// or — rarely — for feasible `phi` that require register moves FEAS's
-/// increment-only schedule cannot reach; see DESIGN.md).
+/// `None` when FEAS fails. It fails as soon as the critical-path cycle
+/// certificate proves `phi` infeasible (DESIGN.md §13.2.1), and after
+/// the `|V|` round cap otherwise. The cap stops the rare feasible `phi`
+/// that needs register moves FEAS's increment-only schedule cannot
+/// reach (see DESIGN.md).
 pub fn feasible_retiming(graph: &RetimeGraph, phi: i64) -> Option<Retiming> {
+    probe(graph, phi, &mut Feas::new(graph, true))
+}
+
+/// One FEAS probe at `phi` on the shared state `feas`.
+pub(crate) fn probe(graph: &RetimeGraph, phi: i64, feas: &mut Feas) -> Option<Retiming> {
     let mut r = Retiming::zero(graph);
-    let n = graph.num_vertices();
-    let mut scratch = ArrivalScratch::new();
-    for _ in 0..n {
-        let period = scratch.compute(graph, &r)?;
+    feas.forget();
+    for _ in 0..graph.num_vertices() {
+        let period = feas.period(graph, &r)?;
         if period <= phi {
             break;
         }
-        for v in graph.vertices() {
-            if scratch.arrival(v) > phi {
-                r.add(v, 1);
-            }
+        if feas.raise(graph, &mut r, phi) {
+            debug_assert!(
+                !oracle_applies(graph) || probe(graph, phi, &mut Feas::new(graph, false)).is_none(),
+                "FEAS certificate refuted period {phi}, which plain FEAS meets"
+            );
+            return None;
         }
     }
     if graph.check_nonnegative(&r).is_err() {
@@ -47,6 +54,8 @@ pub struct MinPeriodResult {
     pub phi: i64,
     /// A retiming achieving it.
     pub retiming: Retiming,
+    /// FEAS rounds the search ran, over all of its probes.
+    pub feas_rounds: u64,
 }
 
 /// Finds the minimum clock period achievable by retiming (binary search
@@ -58,6 +67,14 @@ pub struct MinPeriodResult {
 /// of all gate delays) is infeasible — impossible for graphs built from
 /// valid circuits, kept for robustness.
 pub fn min_period(graph: &RetimeGraph) -> Result<MinPeriodResult, RetimeError> {
+    min_period_with(graph, &mut Feas::new(graph, true))
+}
+
+/// [`min_period`] on the FEAS state `feas`.
+pub(crate) fn min_period_with(
+    graph: &RetimeGraph,
+    feas: &mut Feas,
+) -> Result<MinPeriodResult, RetimeError> {
     let max_delay: i64 = graph.vertices().map(|v| graph.delay(v)).max().unwrap_or(0);
     let total_delay: i64 = graph.vertices().map(|v| graph.delay(v)).sum();
     let hi_bound = total_delay.max(max_delay).max(1);
@@ -65,35 +82,31 @@ pub fn min_period(graph: &RetimeGraph) -> Result<MinPeriodResult, RetimeError> {
     // The identity retiming is always feasible at the current period.
     let current = clock_period(graph, &Retiming::zero(graph))?;
     let mut hi = current.min(hi_bound);
-    let mut best = feasible_retiming(graph, hi)
-        .map(|r| MinPeriodResult {
-            phi: hi,
-            retiming: r,
-        })
-        .unwrap_or(MinPeriodResult {
-            phi: current,
-            retiming: Retiming::zero(graph),
-        });
+    let (mut phi, mut retiming) = match probe(graph, hi, feas) {
+        Some(r) => (hi, r),
+        None => (current, Retiming::zero(graph)),
+    };
     let mut lo = max_delay; // no period can beat the slowest gate
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        match feasible_retiming(graph, mid) {
+        match probe(graph, mid, feas) {
             Some(r) => {
-                best = MinPeriodResult {
-                    phi: mid,
-                    retiming: r,
-                };
+                (phi, retiming) = (mid, r);
                 hi = mid;
             }
             None => lo = mid + 1,
         }
     }
-    if best.phi > hi_bound {
+    if phi > hi_bound {
         return Err(RetimeError::Infeasible(
             "no retiming meets even the trivial period bound".into(),
         ));
     }
-    Ok(best)
+    Ok(MinPeriodResult {
+        phi,
+        retiming,
+        feas_rounds: feas.rounds(),
+    })
 }
 
 /// Lower bound on the clock period that **no** retiming can beat: the

@@ -18,9 +18,10 @@
 //! ≥ `T_h` (data must not race through before the capturing register's
 //! hold window closes).
 
+use crate::feas::{oracle_applies, Feas};
 use crate::graph::{RetimeGraph, Retiming, VertexId};
 use crate::labels::{ElwParams, LrLabels};
-use crate::timing::{zero_weight_topo, ArrivalScratch, ArrivalTimes};
+use crate::timing::{zero_weight_topo, ArrivalTimes};
 
 /// Result of [`min_period_setup_hold`].
 #[derive(Debug, Clone, PartialEq)]
@@ -29,6 +30,16 @@ pub struct SetupHoldResult {
     pub phi: i64,
     /// A retiming meeting setup at `phi` and hold at `t_hold`.
     pub retiming: Retiming,
+}
+
+/// What [`min_period_setup_hold`] found, and the FEAS work it took.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SetupHoldSearch {
+    /// The minimized period and its retiming; `None` when no retiming
+    /// was found even at a generous period.
+    pub result: Option<SetupHoldResult>,
+    /// FEAS rounds the search ran, over all of its probes.
+    pub feas_rounds: u64,
 }
 
 /// Attempts to find a retiming meeting setup at period `phi` and hold
@@ -40,37 +51,43 @@ pub fn feasible_setup_hold(
     t_setup: i64,
     t_hold: i64,
 ) -> Option<Retiming> {
-    feasible_setup_hold_capped(graph, phi, t_setup, t_hold, graph.num_vertices() + 2)
+    let full_cap = graph.num_vertices() + 2;
+    let mut feas = Feas::new(graph, true);
+    feasible_setup_hold_capped(graph, phi, t_setup, t_hold, full_cap, &mut feas)
 }
 
 /// [`feasible_setup_hold`] with an explicit cap on *consecutive* setup
-/// FEAS iterations. A `Some` answer is sound at any cap (the retiming
-/// is fully verified and independent of the cap); a `None` under a cap
-/// below `|V| + 2` may be premature. [`min_period_setup_hold`] exploits
-/// this asymmetry: it scans with a small cap — deep-infeasible probes
-/// then cost tens of iterations instead of `|V|` — and re-confirms the
-/// final floor at the full Bellman–Ford bound, so the minimized period
-/// is provably the same as an all-full-cap search.
-fn feasible_setup_hold_capped(
+/// FEAS iterations, on the shared FEAS state `feas`. A `Some` answer is
+/// sound at any cap (the retiming is fully verified and independent of
+/// the cap); a `None` under a cap below `|V| + 2` may be premature,
+/// unless the FEAS certificate ended the probe. [`min_period_setup_hold`]
+/// exploits this asymmetry: it scans with a small cap — deep-infeasible
+/// probes then cost tens of iterations instead of `|V|` — and
+/// re-confirms the final floor at the full Bellman–Ford bound, so the
+/// minimized period is provably the same as an all-full-cap search.
+pub(crate) fn feasible_setup_hold_capped(
     graph: &RetimeGraph,
     phi: i64,
     t_setup: i64,
     t_hold: i64,
     feas_cap: usize,
+    feas: &mut Feas,
 ) -> Option<Retiming> {
     let trace = std::env::var_os("MINOBSWIN_TRACE").is_some();
     let t0 = std::time::Instant::now();
-    let mut feas_steps = 0u64;
-    let mut hold_repairs = 0u64;
-    let report = |outcome: &str, feas: u64, holds: u64| {
+    let (rounds_before, repairs_before) = (feas.rounds(), feas.hold_repairs());
+    let report = |outcome: &str, feas: &Feas| {
         if trace {
             eprintln!(
-                "  feasible_setup_hold phi {phi}: {outcome} after {feas} FEAS + {holds} hold repairs in {:.3}s",
+                "  feasible_setup_hold phi {phi}: {outcome} after {} FEAS + {} hold repairs in {:.3}s",
+                feas.rounds() - rounds_before,
+                feas.hold_repairs() - repairs_before,
                 t0.elapsed().as_secs_f64()
             );
         }
     };
     let mut r = Retiming::zero(graph);
+    feas.forget();
     let params = ElwParams {
         phi,
         t_setup,
@@ -78,44 +95,47 @@ fn feasible_setup_hold_capped(
     };
     let n = graph.num_vertices();
     let budget = 4 * n + 16;
-    // FEAS converges within |V| iterations whenever the period is
-    // achievable from the current retiming (the Bellman–Ford bound of
-    // Leiserson & Saxe), so a run of more than |V| + 1 *consecutive*
-    // setup steps that never reaches the period is a proof of
-    // non-convergence. Bailing out then — instead of burning the whole
-    // 4|V| budget — cannot flip a feasible probe, and it is what keeps
-    // the infeasible probes of the binary search affordable at 10k+
-    // gates.
+    // Within one run of consecutive setup steps `r` only rises, so the
+    // FEAS certificate proves infeasibility as soon as its parent
+    // pointers close a cycle; that is what ends an infeasible run.
+    // `feas_cap` stays as the hard stop for runs the certificate does
+    // not settle: at the full |V| + 2 it is the Bellman–Ford bound of
+    // Leiserson & Saxe, within which FEAS converges on any period it
+    // can reach.
     let mut consecutive_feas = 0usize;
-    let mut scratch = ArrivalScratch::new();
     for _ in 0..budget {
-        let period = scratch.compute(graph, &r)?;
+        let period = feas.period(graph, &r)?;
         if period > phi - t_setup {
             // FEAS step for setup.
-            feas_steps += 1;
             consecutive_feas += 1;
             if consecutive_feas > feas_cap {
-                report("feas-cap", feas_steps, hold_repairs);
+                report("feas-cap", feas);
                 return None;
             }
-            let mut moved = false;
-            for v in graph.vertices() {
-                if scratch.arrival(v) > phi - t_setup {
-                    r.add(v, 1);
-                    moved = true;
-                }
-            }
-            if !moved {
-                report("stuck", feas_steps, hold_repairs);
+            if feas.raise(graph, &mut r, phi - t_setup) {
+                report("certificate", feas);
+                debug_assert!(
+                    !oracle_applies(graph)
+                        || feasible_setup_hold_capped(
+                            graph,
+                            phi,
+                            t_setup,
+                            t_hold,
+                            n + 2,
+                            &mut Feas::new(graph, false)
+                        )
+                        .is_none(),
+                    "FEAS certificate refuted period {phi}, which plain FEAS meets"
+                );
                 return None;
             }
             continue;
         }
         consecutive_feas = 0;
-        let labels = LrLabels::compute_with_order(graph, &r, params, scratch.order());
+        let labels = LrLabels::compute_with_order(graph, &r, params, feas.order());
         match find_hold_violation(graph, &r, &labels, t_hold) {
             Some((tail, head)) => {
-                hold_repairs += 1;
+                feas.hold_repair();
                 // Two symmetric repairs: push the launching register
                 // backward over the tail (lengthens the path at its
                 // start), or push the terminating register forward
@@ -126,7 +146,7 @@ fn feasible_setup_hold_capped(
                 } else {
                     let z = labels.rt(head);
                     if !push_terminating_register_forward(graph, &mut r, z) {
-                        report("unrepairable", feas_steps, hold_repairs);
+                        report("unrepairable", feas);
                         return None;
                     }
                 }
@@ -134,15 +154,15 @@ fn feasible_setup_hold_capped(
             None => {
                 // Fixpoint: verify everything before returning.
                 if graph.check_nonnegative(&r).is_ok() {
-                    report("feasible", feas_steps, hold_repairs);
+                    report("feasible", feas);
                     return Some(r);
                 }
-                report("nonneg-fail", feas_steps, hold_repairs);
+                report("nonneg-fail", feas);
                 return None;
             }
         }
     }
-    report("budget", feas_steps, hold_repairs);
+    report("budget", feas);
     None
 }
 
@@ -273,24 +293,37 @@ pub fn meets_setup_hold(
 }
 
 /// Minimizes the clock period under setup and hold constraints
-/// (binary search over [`feasible_setup_hold`]). Returns `None` when no
-/// retiming is found even at a generous period — the paper's
+/// (binary search over [`feasible_setup_hold`]). The result is `None`
+/// when no retiming is found even at a generous period — the paper's
 /// "no valid retiming under setup and hold" outcome.
 ///
 /// The search runs in two tiers. The scan tier probes with a small
 /// FEAS cap (feasible probes converge almost immediately in practice,
 /// so their `Some` answers — which are cap-independent — are unharmed,
 /// while deep-infeasible probes stop after tens of iterations instead
-/// of `|V|`). The confirm tier then re-probes one step below the scan
-/// optimum at the full `|V| + 2` Bellman–Ford bound: if that is
-/// infeasible the scan answer is proven optimal, and if the scan cap
-/// turned out to be truncating a genuinely feasible probe, the search
-/// resumes below it. The result is therefore identical to an
-/// all-full-cap search, at a fraction of the cost on 10k+-gate graphs.
-pub fn min_period_setup_hold(
+/// of `|V|`, or earlier when the FEAS certificate proves them). The
+/// confirm tier then re-probes one step below the scan optimum at the
+/// full `|V| + 2` Bellman–Ford bound; there the certificate is what
+/// usually ends the probe. If that probe is infeasible the scan answer
+/// is proven optimal, and if the scan cap turned out to be truncating a
+/// genuinely feasible probe, the search resumes below it. The result is
+/// therefore identical to an all-full-cap search, at a fraction of the
+/// cost on 10k+-gate graphs.
+pub fn min_period_setup_hold(graph: &RetimeGraph, t_setup: i64, t_hold: i64) -> SetupHoldSearch {
+    let mut feas = Feas::new(graph, true);
+    let result = min_period_setup_hold_with(graph, t_setup, t_hold, &mut feas);
+    SetupHoldSearch {
+        result,
+        feas_rounds: feas.rounds(),
+    }
+}
+
+/// The search of [`min_period_setup_hold`] on the FEAS state `feas`.
+pub(crate) fn min_period_setup_hold_with(
     graph: &RetimeGraph,
     t_setup: i64,
     t_hold: i64,
+    feas: &mut Feas,
 ) -> Option<SetupHoldResult> {
     let n = graph.num_vertices();
     let full_cap = n + 2;
@@ -299,19 +332,20 @@ pub fn min_period_setup_hold(
     let total_delay: i64 = graph.vertices().map(|v| graph.delay(v)).sum();
     let hi_bound = (total_delay + t_setup).max(1);
     let floor = (max_delay + t_setup).max(t_hold);
+    let mut probe =
+        |phi: i64, cap: usize| feasible_setup_hold_capped(graph, phi, t_setup, t_hold, cap, feas);
     // Establish an upper-bound solution first, at full rigor.
-    let mut best =
-        feasible_setup_hold(graph, hi_bound, t_setup, t_hold).map(|r| SetupHoldResult {
-            phi: hi_bound,
-            retiming: r,
-        })?;
+    let mut best = probe(hi_bound, full_cap).map(|r| SetupHoldResult {
+        phi: hi_bound,
+        retiming: r,
+    })?;
     loop {
         // Scan tier: bisect below the current best with the quick cap.
         let mut lo = floor;
         let mut hi = best.phi;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match feasible_setup_hold_capped(graph, mid, t_setup, t_hold, quick_cap) {
+            match probe(mid, quick_cap) {
                 Some(r) => {
                     best = SetupHoldResult {
                         phi: mid,
@@ -327,7 +361,7 @@ pub fn min_period_setup_hold(
         if quick_cap >= full_cap || best.phi <= floor {
             return Some(best);
         }
-        match feasible_setup_hold(graph, best.phi - 1, t_setup, t_hold) {
+        match probe(best.phi - 1, full_cap) {
             None => return Some(best),
             Some(r) => {
                 best = SetupHoldResult {
@@ -350,7 +384,7 @@ mod tests {
         let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
         // Unit delays, segments of 3: hold of 2 requires every launched
         // path >= 2 — initial segments have short_path 3, fine.
-        let res = min_period_setup_hold(&g, 0, 2).expect("feasible");
+        let res = min_period_setup_hold(&g, 0, 2).result.expect("feasible");
         assert!(meets_setup_hold(&g, &res.retiming, res.phi, 0, 2));
         assert!(res.phi >= 3);
     }
@@ -366,7 +400,7 @@ mod tests {
             !meets_setup_hold(&g, &r0, 20, 0, 2),
             "initial placement should violate hold (g1 segment has delay 1)"
         );
-        if let Some(res) = min_period_setup_hold(&g, 0, 2) {
+        if let Some(res) = min_period_setup_hold(&g, 0, 2).result {
             assert!(meets_setup_hold(&g, &res.retiming, res.phi, 0, 2));
         }
         // (If the conservative solver reports None that is acceptable —
@@ -379,14 +413,16 @@ mod tests {
         // Hold time larger than the total loop delay can never be met.
         let c = samples::pipeline(4, 4);
         let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
-        assert!(min_period_setup_hold(&g, 0, 100).is_none());
+        assert!(min_period_setup_hold(&g, 0, 100).result.is_none());
     }
 
     #[test]
     fn setup_only_matches_min_period() {
         let c = samples::pipeline(9, 3);
         let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
-        let res = min_period_setup_hold(&g, 0, 0).expect("hold of 0 is free");
+        let res = min_period_setup_hold(&g, 0, 0)
+            .result
+            .expect("hold of 0 is free");
         let mp = crate::minperiod::min_period(&g).unwrap();
         assert_eq!(res.phi, mp.phi);
     }
@@ -399,7 +435,7 @@ mod tests {
                 .registers(20)
                 .build();
             let g = RetimeGraph::from_circuit(&c, &DelayModel::default()).unwrap();
-            if let Some(res) = min_period_setup_hold(&g, 0, 2) {
+            if let Some(res) = min_period_setup_hold(&g, 0, 2).result {
                 assert!(
                     meets_setup_hold(&g, &res.retiming, res.phi, 0, 2),
                     "seed {seed}"

@@ -64,11 +64,17 @@ pub fn is_combinational_edge(graph: &RetimeGraph, e: EdgeId, r: &Retiming) -> bo
 /// produces and evaluates the same max-over-in-edges recurrence, so the
 /// arrivals, the period and the recorded order are bit-identical to the
 /// two-pass path.
+///
+/// The same pass records each vertex's critical-path start `s(v)`: the
+/// first vertex of a zero-weight path ending at `v` whose delay is the
+/// arrival `a(v)`. Ties go to the first in-edge that reaches the
+/// maximum, so the start is deterministic.
 #[derive(Debug, Default)]
 pub struct ArrivalScratch {
     indeg: Vec<u32>,
     order: Vec<VertexId>,
     arrivals: Vec<i64>,
+    starts: Vec<VertexId>,
 }
 
 impl ArrivalScratch {
@@ -95,19 +101,27 @@ impl ArrivalScratch {
             .extend(graph.vertices().filter(|v| self.indeg[v.index()] == 0));
         self.arrivals.clear();
         self.arrivals.resize(n, 0);
+        self.starts.clear();
+        self.starts.resize(n, RetimeGraph::HOST);
         let mut head = 0;
         let mut period = 0i64;
         while head < self.order.len() {
             let v = self.order[head];
             head += 1;
             let mut best = 0i64;
+            let mut start = v;
             for &e in graph.in_edges(v) {
                 if is_combinational_edge(graph, e, r) {
-                    best = best.max(self.arrivals[graph.edge(e).from.index()]);
+                    let u = graph.edge(e).from;
+                    if self.arrivals[u.index()] > best {
+                        best = self.arrivals[u.index()];
+                        start = self.starts[u.index()];
+                    }
                 }
             }
             let a = best + graph.delay(v);
             self.arrivals[v.index()] = a;
+            self.starts[v.index()] = start;
             period = period.max(a);
             for &e in graph.out_edges(v) {
                 if !is_combinational_edge(graph, e, r) {
@@ -132,6 +146,13 @@ impl ArrivalScratch {
     /// The arrival time of one vertex from the last pass.
     pub fn arrival(&self, v: VertexId) -> i64 {
         self.arrivals[v.index()]
+    }
+
+    /// The critical-path start `s(v)` from the last pass: the zero-weight
+    /// path from `s(v)` to `v` has delay [`ArrivalScratch::arrival`]`(v)`
+    /// (`s(v) = v` when no combinational fanin adds delay).
+    pub(crate) fn start(&self, v: VertexId) -> VertexId {
+        self.starts[v.index()]
     }
 }
 

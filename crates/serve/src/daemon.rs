@@ -190,6 +190,8 @@ struct State {
     /// to `pending`; counted against the queue bound so concurrent
     /// admissions cannot overshoot it.
     admitting: usize,
+    /// Workers take no queued job while set (see [`Daemon::pause`]).
+    paused: bool,
     draining: bool,
 }
 
@@ -257,6 +259,7 @@ impl Daemon {
                 pending: VecDeque::new(),
                 jobs: HashMap::new(),
                 admitting: 0,
+                paused: false,
                 draining: false,
             }),
             cv: Condvar::new(),
@@ -430,6 +433,29 @@ impl Daemon {
         (queued, st.jobs.len() - terminal - queued, terminal)
     }
 
+    /// Holds the workers: none takes a queued job until
+    /// [`Daemon::resume`] (or a drain, which resumes). Running jobs
+    /// continue and admission stays open. Queued jobs keep their
+    /// `deadline_ms` clocks, so a job whose deadline passes during the
+    /// hold expires when the workers take it.
+    pub fn pause(&self) {
+        self.shared
+            .state
+            .lock()
+            .expect("daemon state poisoned")
+            .paused = true;
+    }
+
+    /// Releases a [`Daemon::pause`].
+    pub fn resume(&self) {
+        self.shared
+            .state
+            .lock()
+            .expect("daemon state poisoned")
+            .paused = false;
+        self.shared.cv.notify_all();
+    }
+
     /// Stops admitting, lets every queued and running job reach a
     /// terminal state, joins the workers and emits [`Event::Drained`].
     /// Idempotent; concurrent callers all return once the drain is
@@ -438,6 +464,7 @@ impl Daemon {
         {
             let mut st = self.shared.state.lock().expect("daemon state poisoned");
             st.draining = true;
+            st.paused = false;
         }
         self.shared.cv.notify_all();
         let handles: Vec<_> = {
@@ -495,8 +522,10 @@ fn worker_loop(shared: &Arc<Shared>) {
         let id = {
             let mut st = shared.state.lock().expect("daemon state poisoned");
             loop {
-                if let Some(id) = st.pending.pop_front() {
-                    break id;
+                if !st.paused {
+                    if let Some(id) = st.pending.pop_front() {
+                        break id;
+                    }
                 }
                 if st.draining {
                     return;

@@ -447,31 +447,17 @@ fn corrupt_checkpoint_self_heals_to_done() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A job whose `deadline_ms` elapses while it waits behind a slow job
-/// is rejected at dequeue as `Expired` (exit 5); a job with a generous
-/// deadline runs normally.
+/// A job whose `deadline_ms` elapses while it waits in the queue is
+/// rejected at dequeue as `Expired` (exit 5); a job with a generous
+/// deadline runs normally. The single worker is held with
+/// [`Daemon::pause`] until the deadline has surely passed, so no job
+/// can free it early, however fast the build.
 #[test]
 fn queued_past_deadline_expires_with_exit_5() {
     let _lock = lock_plan();
     let dir = chaos_dir("deadline");
     let daemon = start_daemon(&dir, 1);
-
-    // Occupy the single worker long enough for the deadline to pass.
-    let big = bench_format::write(
-        &GeneratorConfig::new("slow", 3)
-            .gates(400)
-            .registers(64)
-            .build(),
-    );
-    let mut slow = JobSpec::new("slow-1", &big, NetlistFormat::Bench);
-    slow.vectors = 1024;
-    slow.frames = 10;
-    daemon.submit(slow).expect("slow job admitted");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    while daemon.status("slow-1") == Some(JobState::Queued) {
-        assert!(Instant::now() < deadline, "slow job never left the queue");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    daemon.pause();
 
     let source = bench_format::write(&samples::s27_like());
     let mut doomed = JobSpec::new("doomed", &source, NetlistFormat::Bench);
@@ -486,7 +472,10 @@ fn queued_past_deadline_expires_with_exit_5() {
     patient.deadline_ms = Some(600_000);
     daemon.submit(patient).expect("patient job admitted");
 
-    daemon.cancel("slow-1");
+    // The deadline clock starts at admission; outwait it while held.
+    std::thread::sleep(Duration::from_millis(20));
+    assert_eq!(daemon.status("doomed"), Some(JobState::Queued));
+    daemon.resume();
     let state = wait_terminal(&daemon, "doomed", Duration::from_secs(120));
     assert_eq!(state, JobState::Expired, "1 ms deadline must expire");
     assert_eq!(state.exit_code(), Some(5));
