@@ -339,62 +339,63 @@ fn solve_loop(
     };
     let mut r = initial;
     // The paper's schedule is the single descent phase. With
-    // `bidirectional`, alternate descent and ascent until neither
-    // commits (each committing phase strictly improves the bounded
-    // objective, so this terminates).
-    let mut resuming = seed.is_some();
+    // `bidirectional`, alternate descent and ascent (each committing
+    // phase strictly improves the bounded objective, so this
+    // terminates).
+    let schedule: &[Direction] = if config.bidirectional {
+        &[Direction::Decrease, Direction::Increase]
+    } else {
+        &[Direction::Decrease]
+    };
+    // A resumed solve re-enters the checkpointed phase. The instance
+    // digest covers `bidirectional`, so an Increase checkpoint only
+    // validates under the bidirectional schedule.
+    let mut k = usize::from(seed.as_ref().is_some_and(|s| s.direction_increase));
+    debug_assert!(k < schedule.len(), "checkpoint phase outside the schedule");
+    // Phases in a row that committed nothing. Every phase starts from
+    // an empty constraint system, so it depends only on r and its
+    // direction: once each direction of the schedule has run idle in a
+    // row, r is unchanged since the last phase of the next direction,
+    // and running it would replay that phase step for step.
+    let mut idle = 0;
     loop {
-        let before = if resuming {
+        let resumed = seed.is_some();
+        if k == 0 && !resumed {
+            rt.round_start_commits = stats.commits;
+        }
+        // A resumed phase's own commits before the checkpoint are not
+        // recorded; counting from the round start can only call it
+        // busy when it was idle, which costs at most one replayed
+        // phase and never changes r.
+        let phase_start = if resumed {
             rt.round_start_commits
         } else {
             stats.commits
         };
-        rt.round_start_commits = before;
-        let resume_in_increase = resuming && seed.as_ref().is_some_and(|s| s.direction_increase);
-        if !resume_in_increase {
-            let phase_seed = if resuming { seed.take() } else { None };
-            r = run_phase(
-                graph,
-                problem,
-                r,
-                config,
-                caps,
-                Direction::Decrease,
-                stats,
-                rt,
-                phase_seed,
-            )?;
-            if rt.stop.is_some() {
-                return Ok(r);
-            }
+        r = run_phase(
+            graph,
+            problem,
+            r,
+            config,
+            caps,
+            schedule[k],
+            stats,
+            rt,
+            seed.take(),
+        )?;
+        if rt.stop.is_some() {
+            return Ok(r);
         }
-        if config.bidirectional {
-            let phase_seed = if resume_in_increase {
-                seed.take()
-            } else {
-                None
-            };
-            r = run_phase(
-                graph,
-                problem,
-                r,
-                config,
-                caps,
-                Direction::Increase,
-                stats,
-                rt,
-                phase_seed,
-            )?;
-            if rt.stop.is_some() {
-                return Ok(r);
-            }
+        idle = if stats.commits == phase_start {
+            idle + 1
+        } else {
+            0
+        };
+        if idle == schedule.len() {
+            return Ok(r);
         }
-        resuming = false;
-        if stats.commits == before {
-            break;
-        }
+        k = (k + 1) % schedule.len();
     }
-    Ok(r)
 }
 
 /// Per-solve limits, computed once from the graph.

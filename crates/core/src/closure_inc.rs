@@ -1,12 +1,11 @@
 //! Warm-started incremental selection of maximum-gain closed sets.
 //!
-//! The solver calls [`crate::closure::ConstraintSystem::max_gain_closed_set`]
-//! once per loop iteration, and after PR 2 made constraint *checking*
-//! ~1000× cheaper that min-cut became the dominant cost (~98% of solve
-//! time, `closure_nanos` in `BENCH_solver.json`): every iteration
-//! rebuilt the flow network and ran Dinic from zero flow, even though
-//! successive iterations differ only by the last violation's deltas —
-//! one weight raise, one constraint arc, or one freeze.
+//! The solver selects one maximum-gain closed set per loop iteration,
+//! and successive iterations differ only by the last violation batch's
+//! deltas: weight raises, constraint arcs and freezes. Rebuilding the
+//! flow network and solving it from zero flow on every call
+//! ([`crate::closure::ConstraintSystem::max_gain_closed_set`]) throws
+//! that locality away.
 //!
 //! [`IncrementalClosure`] instead **persists the residual graph**
 //! across calls. Between two selections it consumes the constraint
@@ -25,13 +24,30 @@
 //!   guarantees exist (the cancelled units belong to source→sink paths
 //!   of the flow decomposition through that arc).
 //!
-//! With the flow feasible again, Dinic's phases **resume from the
-//! repaired residual** instead of zero flow, and the closure is
-//! re-extracted from the new maximum flow. When a delta batch dirties
-//! more than `rebuild_percent` percent of the vertices the engine
-//! falls back to a fresh build (mirroring the checker's
-//! `max_dirty_percent`), and when no deltas are pending — the common
-//! case right after a commit, which leaves the constraint system
+//! With the flow feasible again, the engine augments it to a maximum
+//! flow by **search-tree augmentation** (Boykov & Kolmogorov, IEEE
+//! PAMI 2004). A source tree grows from `s` and a sink tree from `t`
+//! over residual arcs; where the two trees touch, the path through
+//! both is augmented. Arcs the augmentation saturates cut subtrees
+//! off; each orphaned root is re-adopted by a neighbour in its own
+//! tree whose path to the root is still intact (checked by walking
+//! parent pointers, cut short by per-augmentation timestamps and
+//! distance marks) or released, and released nodes re-activate their
+//! tree neighbours. The trees are rebuilt once per selection; a warm
+//! flow usually leaves few augmenting paths, so the source tree stays
+//! near the small closure instead of every phase sweeping the whole
+//! residual, as a level-graph method does.
+//!
+//! When no node is active, every residual arc leaving the source tree
+//! ends inside it, and every tree node reaches `s` along residual tree
+//! arcs. **The source tree is then exactly the set of nodes reachable
+//! from `s` in the residual graph**, so the closure is read off it by a
+//! flag scan in ascending vertex order, without a separate search.
+//!
+//! When a delta batch dirties more than `rebuild_percent` percent of
+//! the vertices the engine falls back to a fresh build (mirroring the
+//! checker's `max_dirty_percent`), and when no deltas are pending — the
+//! common case right after a commit, which leaves the constraint system
 //! untouched — the previous member list is served from cache without
 //! touching a single arc.
 //!
@@ -45,12 +61,14 @@
 //! the residual source-reachable set is the same for **every** maximum
 //! flow of the same capacitated network. The warm residual describes
 //! the same capacities as a fresh build (cancelled arcs end at zero
-//! flow and capacity-0 arcs are invisible to reachability), and
-//! `resume` drives it to *a* maximum flow — hence the extracted member
-//! list is identical to the fresh engine's, and the solver's
+//! flow and capacity-0 arcs are invisible to reachability), the
+//! augmentation drives it to *a* maximum flow, and the source tree is
+//! that flow's reachable set — hence the member list is identical to
+//! the fresh engine's (which keeps its own Dinic), and the solver's
 //! `debug_assert!` differential oracle plus the property suite in
 //! `tests/properties.rs` verify exactly that on every debug-mode call.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use retime::VertexId;
@@ -59,6 +77,19 @@ use crate::closure::ConstraintSystem;
 use crate::incremental::PerfCounters;
 
 const INF: i64 = i64::MAX / 4;
+
+/// `parent` of a tree root (`s` or `t`).
+const ROOT: u32 = u32::MAX;
+/// `parent` of a node whose tree arc the last augmentation saturated.
+const ORPHAN: u32 = u32::MAX - 1;
+
+/// Search-tree membership of a network node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tree {
+    Free,
+    Source,
+    Sink,
+}
 
 /// Default rebuild threshold of the warm engine, in percent of `|V|`.
 pub const DEFAULT_REBUILD_PERCENT: u32 = 50;
@@ -107,8 +138,6 @@ pub struct IncrementalClosure {
     to: Vec<u32>,
     cap: Vec<i64>,
     adj: Vec<Vec<u32>>,
-    level: Vec<i32>,
-    iter: Vec<usize>,
     /// Edge id of the source→v arc (-1 = not created yet).
     src_edge: Vec<i32>,
     /// Edge id of the v→sink arc (-1 = not created yet).
@@ -116,13 +145,37 @@ pub struct IncrementalClosure {
     /// The gain `b(v)·w(v)` currently encoded in the capacities.
     gain: Vec<i64>,
     frozen: Vec<bool>,
-    total_positive: i64,
     flow: i64,
     arc_cursor: usize,
     gain_cursor: usize,
     cached: Vec<VertexId>,
     touched: u64,
     scratch: Vec<u32>,
+    // Search-tree state, sized to the network and reused by every
+    // augmentation run.
+    tree: Vec<Tree>,
+    /// The arc from a tree node toward its parent (an id in the node's
+    /// own adjacency), or [`ROOT`] / [`ORPHAN`].
+    parent: Vec<u32>,
+    /// Timestamp of the last time `dist` was known to be exact.
+    ts: Vec<u64>,
+    /// Tree-path length to the root, exact when `ts` is current.
+    dist: Vec<u32>,
+    /// Augmentation clock; only ever increases, so marks left by an
+    /// earlier run are never mistaken for current ones.
+    time: u64,
+    active: Vec<bool>,
+    /// Next adjacency position a node's growth scan examines; reset
+    /// whenever the node is (re)activated.
+    next_arc: Vec<u32>,
+    queue: VecDeque<u32>,
+    orphans: VecDeque<u32>,
+    // Flow-cancellation search: stamped visit marks, DFS stack and the
+    // path found, reused across calls.
+    visit: Vec<u64>,
+    visit_stamp: u64,
+    stack: Vec<(u32, u32)>,
+    path: Vec<u32>,
 }
 
 impl IncrementalClosure {
@@ -137,19 +190,29 @@ impl IncrementalClosure {
             to: Vec::new(),
             cap: Vec::new(),
             adj: Vec::new(),
-            level: Vec::new(),
-            iter: Vec::new(),
             src_edge: Vec::new(),
             snk_edge: Vec::new(),
             gain: Vec::new(),
             frozen: Vec::new(),
-            total_positive: 0,
             flow: 0,
             arc_cursor: 0,
             gain_cursor: 0,
             cached: Vec::new(),
             touched: 0,
             scratch: Vec::new(),
+            tree: Vec::new(),
+            parent: Vec::new(),
+            ts: Vec::new(),
+            dist: Vec::new(),
+            time: 0,
+            active: Vec::new(),
+            next_arc: Vec::new(),
+            queue: VecDeque::new(),
+            orphans: VecDeque::new(),
+            visit: Vec::new(),
+            visit_stamp: 0,
+            stack: Vec::new(),
+            path: Vec::new(),
         }
     }
 
@@ -157,8 +220,8 @@ impl IncrementalClosure {
     /// bit-identical to [`ConstraintSystem::max_gain_closed_set`].
     ///
     /// Applies every change-log delta recorded since the previous call,
-    /// repairs and resumes the persistent residual (or rebuilds past
-    /// the threshold), and updates `perf` (`closure_calls`,
+    /// repairs and re-augments the persistent residual (or rebuilds
+    /// past the threshold), and updates `perf` (`closure_calls`,
     /// `closure_arcs_touched`, `closure_fallback_full`,
     /// `closure_warm_nanos`).
     pub fn select(&mut self, system: &ConstraintSystem, perf: &mut PerfCounters) -> Vec<VertexId> {
@@ -185,8 +248,7 @@ impl IncrementalClosure {
                     self.rebuild(system);
                 } else {
                     self.apply_deltas(system);
-                    self.resume();
-                    self.extract();
+                    self.augment_to_max();
                 }
             }
             // No pending deltas: the previous extraction is still exact
@@ -208,7 +270,7 @@ impl IncrementalClosure {
     }
 
     /// Fresh build: the same network the from-scratch engine
-    /// constructs, followed by a full Dinic run and extraction.
+    /// constructs, augmented from zero flow.
     fn rebuild(&mut self, system: &ConstraintSystem) {
         let n = system.len();
         self.n = n;
@@ -226,10 +288,13 @@ impl IncrementalClosure {
             a.clear();
         }
         self.adj.resize_with(nodes, Vec::new);
-        self.level.clear();
-        self.level.resize(nodes, -1);
-        self.iter.clear();
-        self.iter.resize(nodes, 0);
+        self.tree.resize(nodes, Tree::Free);
+        self.parent.resize(nodes, ROOT);
+        self.ts.resize(nodes, 0);
+        self.dist.resize(nodes, 0);
+        self.active.resize(nodes, false);
+        self.next_arc.resize(nodes, 0);
+        self.visit.resize(nodes, 0);
         self.src_edge.clear();
         self.src_edge.resize(n, -1);
         self.snk_edge.clear();
@@ -239,7 +304,6 @@ impl IncrementalClosure {
         self.frozen.clear();
         self.frozen.resize(n, false);
         self.frozen[0] = true;
-        self.total_positive = 0;
         self.flow = 0;
         let (s, t) = (self.source(), self.sink());
         for v in 1..n {
@@ -253,7 +317,6 @@ impl IncrementalClosure {
             self.gain[v] = g;
             if g > 0 {
                 self.src_edge[v] = self.add_edge(s, v, g) as i32;
-                self.total_positive += g;
             } else if g < 0 {
                 self.snk_edge[v] = self.add_edge(v, t, -g) as i32;
             }
@@ -264,8 +327,7 @@ impl IncrementalClosure {
         self.arc_cursor = system.arc_log().len();
         self.gain_cursor = system.gain_log().len();
         self.built = true;
-        self.resume();
-        self.extract();
+        self.augment_to_max();
     }
 
     /// Applies the pending change-log deltas (the dirty vertices are
@@ -292,29 +354,31 @@ impl IncrementalClosure {
         }
         let v_id = VertexId::new(v);
         if system.is_frozen(v_id) {
-            let g = self.gain[v];
-            if g > 0 {
-                self.total_positive -= g;
+            if self.gain[v] > 0 {
                 self.set_source_cap(v, 0);
             }
             self.set_sink_cap(v, INF);
             self.frozen[v] = true;
             self.gain[v] = 0;
         } else {
-            let g_new = system.gain(v_id);
-            let g_old = self.gain[v];
-            if g_new == g_old {
-                return;
-            }
-            self.total_positive += g_new.max(0) - g_old.max(0);
-            if g_old > 0 || g_new > 0 {
-                self.set_source_cap(v, g_new.max(0));
-            }
-            if g_old < 0 || g_new < 0 {
-                self.set_sink_cap(v, (-g_new).max(0));
-            }
-            self.gain[v] = g_new;
+            self.set_gain(v, system.gain(v_id));
         }
+    }
+
+    /// Re-encodes the gain of an unfrozen vertex `v` as its
+    /// source/sink capacities.
+    fn set_gain(&mut self, v: usize, g_new: i64) {
+        let g_old = self.gain[v];
+        if g_new == g_old {
+            return;
+        }
+        if g_old > 0 || g_new > 0 {
+            self.set_source_cap(v, g_new.max(0));
+        }
+        if g_old < 0 || g_new < 0 {
+            self.set_sink_cap(v, (-g_new).max(0));
+        }
+        self.gain[v] = g_new;
     }
 
     fn add_edge(&mut self, from: usize, to: usize, cap: i64) -> u32 {
@@ -394,11 +458,12 @@ impl IncrementalClosure {
             self.source()
         };
         while amount > 0 {
-            let path = self
-                .find_flow_path(start, target, downstream)
-                .expect("flow conservation guarantees a cancellation path");
+            assert!(
+                self.find_flow_path(start, target, downstream),
+                "flow conservation guarantees a cancellation path"
+            );
             let mut step = amount;
-            for &e in &path {
+            for &e in &self.path {
                 let carried = if downstream {
                     self.cap[(e ^ 1) as usize]
                 } else {
@@ -407,7 +472,7 @@ impl IncrementalClosure {
                 step = step.min(carried);
             }
             debug_assert!(step > 0);
-            for &e in &path {
+            for &e in &self.path {
                 if downstream {
                     self.cap[e as usize] += step;
                     self.cap[(e ^ 1) as usize] -= step;
@@ -421,27 +486,26 @@ impl IncrementalClosure {
     }
 
     /// DFS for a simple path of flow-carrying arcs from `start` to
-    /// `target`. Downstream paths use forward arcs (even ids) whose
-    /// reverse residual — the flow — is positive; upstream paths use
-    /// reverse arcs (odd ids) whose own residual is the paired forward
-    /// arc's flow.
-    fn find_flow_path(
-        &mut self,
-        start: usize,
-        target: usize,
-        downstream: bool,
-    ) -> Option<Vec<u32>> {
-        let mut visited = vec![false; self.adj.len()];
-        visited[start] = true;
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        let mut path: Vec<u32> = Vec::new();
-        while let Some(&(node, idx)) = stack.last() {
+    /// `target`, left in `self.path`; `false` when there is none.
+    /// Downstream paths use forward arcs (even ids) whose reverse
+    /// residual — the flow — is positive; upstream paths use reverse
+    /// arcs (odd ids) whose own residual is the paired forward arc's
+    /// flow.
+    fn find_flow_path(&mut self, start: usize, target: usize, downstream: bool) -> bool {
+        self.visit_stamp += 1;
+        let stamp = self.visit_stamp;
+        self.visit[start] = stamp;
+        self.stack.clear();
+        self.stack.push((start as u32, 0));
+        self.path.clear();
+        while let Some(&(node, idx)) = self.stack.last() {
+            let (node, idx) = (node as usize, idx as usize);
             if idx >= self.adj[node].len() {
-                stack.pop();
-                path.pop();
+                self.stack.pop();
+                self.path.pop();
                 continue;
             }
-            stack.last_mut().expect("non-empty stack").1 += 1;
+            self.stack.last_mut().expect("non-empty stack").1 += 1;
             let e = self.adj[node][idx];
             self.touched += 1;
             let usable = if downstream {
@@ -453,100 +517,266 @@ impl IncrementalClosure {
                 continue;
             }
             let next = self.to[e as usize] as usize;
-            if visited[next] {
+            if self.visit[next] == stamp {
                 continue;
             }
-            visited[next] = true;
-            path.push(e);
+            self.visit[next] = stamp;
+            self.path.push(e);
             if next == target {
-                return Some(path);
+                return true;
             }
-            stack.push((next, 0));
+            self.stack.push((next as u32, 0));
+        }
+        false
+    }
+
+    /// Augments the current (feasible) flow to a maximum flow with
+    /// fresh search trees, then reads the canonical closure off the
+    /// final source tree into the cache.
+    fn augment_to_max(&mut self) {
+        let (s, t) = (self.source(), self.sink());
+        self.tree.fill(Tree::Free);
+        self.active.fill(false);
+        self.queue.clear();
+        self.orphans.clear();
+        self.time += 1;
+        for (root, side) in [(s, Tree::Source), (t, Tree::Sink)] {
+            self.tree[root] = side;
+            self.parent[root] = ROOT;
+            self.ts[root] = self.time;
+            self.dist[root] = 0;
+            self.activate(root);
+        }
+        let mut current: Option<usize> = None;
+        loop {
+            let p = match current.take() {
+                Some(p) if self.tree[p] != Tree::Free => p,
+                held => {
+                    if let Some(p) = held {
+                        self.active[p] = false;
+                    }
+                    match self.next_active() {
+                        Some(p) => p,
+                        None => break,
+                    }
+                }
+            };
+            match self.grow(p) {
+                Some(bridge) => {
+                    self.time += 1;
+                    self.augment(bridge);
+                    self.adopt_orphans();
+                    // Keep growing from `p`: it may touch the other
+                    // tree again further down its adjacency.
+                    current = Some(p);
+                }
+                None => self.active[p] = false,
+            }
+        }
+        // The source tree is now the residual source-reachable set.
+        self.cached.clear();
+        for v in 1..self.n {
+            if self.tree[v] == Tree::Source {
+                self.cached.push(VertexId::new(v));
+            }
+        }
+    }
+
+    /// Marks `v` active, queueing it unless it already is, and restarts
+    /// its growth scan: a node re-activated because a neighbour left
+    /// its tree must look at every arc again.
+    fn activate(&mut self, v: usize) {
+        self.next_arc[v] = 0;
+        if !self.active[v] {
+            self.active[v] = true;
+            self.queue.push_back(v as u32);
+        }
+    }
+
+    /// Pops the next active tree node, dropping nodes that were
+    /// released from their tree after being queued.
+    fn next_active(&mut self) -> Option<usize> {
+        while let Some(p) = self.queue.pop_front() {
+            let p = p as usize;
+            if self.tree[p] != Tree::Free {
+                return Some(p);
+            }
+            self.active[p] = false;
         }
         None
     }
 
-    /// Resumes Dinic's phases from the current (feasible) residual
-    /// until no augmenting path remains.
-    fn resume(&mut self) {
-        let (s, t) = (self.source(), self.sink());
-        while self.bfs(s, t) {
-            self.iter.fill(0);
-            loop {
-                let f = self.dfs(s, t, INF);
-                if f == 0 {
+    /// Grows `p`'s tree over its residual arcs from the scan cursor on.
+    /// Returns the source→sink-tree arc where the trees touch, if any.
+    fn grow(&mut self, p: usize) -> Option<u32> {
+        let side = self.tree[p];
+        while (self.next_arc[p] as usize) < self.adj[p].len() {
+            let e = self.adj[p][self.next_arc[p] as usize];
+            self.touched += 1;
+            // The residual arc between p and q in the tree's growth
+            // direction: p→q for the source tree, q→p for the sink tree.
+            let (residual, bridge) = match side {
+                Tree::Source => (self.cap[e as usize], e),
+                _ => (self.cap[(e ^ 1) as usize], e ^ 1),
+            };
+            if residual > 0 {
+                let q = self.to[e as usize] as usize;
+                if self.tree[q] == Tree::Free {
+                    self.tree[q] = side;
+                    self.parent[q] = e ^ 1;
+                    self.ts[q] = self.ts[p];
+                    self.dist[q] = self.dist[p] + 1;
+                    self.activate(q);
+                } else if self.tree[q] != side {
+                    return Some(bridge);
+                } else if self.ts[q] <= self.ts[p] && self.dist[q] > self.dist[p] {
+                    // Shorten q's path through p (BK's distance heuristic).
+                    self.parent[q] = e ^ 1;
+                    self.ts[q] = self.ts[p];
+                    self.dist[q] = self.dist[p] + 1;
+                }
+            }
+            self.next_arc[p] += 1;
+        }
+        None
+    }
+
+    /// Pushes the bottleneck along `s ⇝ tail(bridge) → head(bridge) ⇝ t`
+    /// through both trees, orphaning every node whose tree arc
+    /// saturates.
+    fn augment(&mut self, bridge: u32) {
+        let bridge = bridge as usize;
+        let head = self.to[bridge] as usize;
+        let tail = self.to[bridge ^ 1] as usize;
+        let mut step = self.cap[bridge];
+        // Source-tree arcs run parent→child (`pe ^ 1`), sink-tree arcs
+        // child→parent (`pe`).
+        let mut v = tail;
+        while self.parent[v] != ROOT {
+            let pe = self.parent[v] as usize;
+            step = step.min(self.cap[pe ^ 1]);
+            v = self.to[pe] as usize;
+        }
+        let mut v = head;
+        while self.parent[v] != ROOT {
+            let pe = self.parent[v] as usize;
+            step = step.min(self.cap[pe]);
+            v = self.to[pe] as usize;
+        }
+        self.cap[bridge] -= step;
+        self.cap[bridge ^ 1] += step;
+        self.touched += 1;
+        for (start, down) in [(tail, 1usize), (head, 0)] {
+            let mut v = start;
+            while self.parent[v] != ROOT {
+                let pe = self.parent[v] as usize;
+                self.touched += 1;
+                self.cap[pe ^ down] -= step;
+                self.cap[pe ^ down ^ 1] += step;
+                if self.cap[pe ^ down] == 0 {
+                    self.parent[v] = ORPHAN;
+                    self.orphans.push_back(v as u32);
+                }
+                v = self.to[pe] as usize;
+            }
+        }
+        self.flow += step;
+    }
+
+    /// Re-attaches every orphan to a neighbour of its own tree whose
+    /// root path is intact (preferring the shortest), or releases it —
+    /// re-activating the tree neighbours that could grow into it and
+    /// orphaning its children.
+    fn adopt_orphans(&mut self) {
+        while let Some(j) = self.orphans.pop_front() {
+            let j = j as usize;
+            let side = self.tree[j];
+            let mut best: Option<(u32, u32)> = None;
+            for k in 0..self.adj[j].len() {
+                let a = self.adj[j][k];
+                self.touched += 1;
+                let i = self.to[a as usize] as usize;
+                if self.tree[i] != side || self.parent[i] == ORPHAN || !self.feeds(side, a) {
+                    continue;
+                }
+                if let Some(d) = self.root_distance(i) {
+                    if best.is_none_or(|(_, bd)| d < bd) {
+                        best = Some((a, d));
+                    }
+                }
+            }
+            if let Some((a, d)) = best {
+                self.parent[j] = a;
+                self.ts[j] = self.time;
+                self.dist[j] = d + 1;
+                continue;
+            }
+            self.tree[j] = Tree::Free;
+            for k in 0..self.adj[j].len() {
+                let a = self.adj[j][k];
+                self.touched += 1;
+                let i = self.to[a as usize] as usize;
+                if self.tree[i] != side {
+                    continue;
+                }
+                if self.feeds(side, a) {
+                    self.activate(i);
+                }
+                let pi = self.parent[i];
+                if pi != ROOT && pi != ORPHAN && self.to[pi as usize] as usize == j {
+                    self.parent[i] = ORPHAN;
+                    self.orphans.push_back(i as u32);
+                }
+            }
+        }
+    }
+
+    /// Whether arc `a` of a node `j` in tree `side` has residual
+    /// capacity in the direction that tree grows — `to[a]`→`j` for the
+    /// source tree, `j`→`to[a]` for the sink tree — so `to[a]` could be
+    /// `j`'s parent, or grow into `j` once `j` is released.
+    fn feeds(&self, side: Tree, a: u32) -> bool {
+        let a = a as usize;
+        match side {
+            Tree::Source => self.cap[a ^ 1] > 0,
+            _ => self.cap[a] > 0,
+        }
+    }
+
+    /// The tree-path length from `i` to its root, or `None` when the
+    /// path runs into an orphan. Marks every node on a valid path with
+    /// the current time and its exact distance, so later walks stop
+    /// there.
+    fn root_distance(&mut self, i: usize) -> Option<u32> {
+        let mut v = i;
+        let mut d = 0u32;
+        loop {
+            if self.ts[v] == self.time {
+                d += self.dist[v];
+                break;
+            }
+            match self.parent[v] {
+                ROOT => {
+                    self.ts[v] = self.time;
+                    self.dist[v] = 0;
                     break;
                 }
-                self.flow += f;
-            }
-        }
-    }
-
-    fn bfs(&mut self, s: usize, t: usize) -> bool {
-        self.level.fill(-1);
-        let mut queue = std::collections::VecDeque::new();
-        self.level[s] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            self.touched += self.adj[v].len() as u64;
-            for &e in &self.adj[v] {
-                let u = self.to[e as usize] as usize;
-                if self.cap[e as usize] > 0 && self.level[u] < 0 {
-                    self.level[u] = self.level[v] + 1;
-                    queue.push_back(u);
+                ORPHAN => return None,
+                pe => {
+                    d += 1;
+                    v = self.to[pe as usize] as usize;
                 }
             }
         }
-        self.level[t] >= 0
-    }
-
-    fn dfs(&mut self, v: usize, t: usize, f: i64) -> i64 {
-        if v == t {
-            return f;
+        let mut v = i;
+        let mut dv = d;
+        while self.ts[v] != self.time {
+            self.ts[v] = self.time;
+            self.dist[v] = dv;
+            dv -= 1;
+            v = self.to[self.parent[v] as usize] as usize;
         }
-        while self.iter[v] < self.adj[v].len() {
-            let e = self.adj[v][self.iter[v]] as usize;
-            let u = self.to[e] as usize;
-            self.touched += 1;
-            if self.cap[e] > 0 && self.level[u] == self.level[v] + 1 {
-                let d = self.dfs(u, t, f.min(self.cap[e]));
-                if d > 0 {
-                    self.cap[e] -= d;
-                    self.cap[e ^ 1] += d;
-                    return d;
-                }
-            }
-            self.iter[v] += 1;
-        }
-        0
-    }
-
-    /// Re-extracts the canonical closure from the residual of the
-    /// current maximum flow into the cache.
-    fn extract(&mut self) {
-        self.cached.clear();
-        if self.flow >= self.total_positive {
-            return; // best closure has gain <= 0 (or no positive gain at all)
-        }
-        let s = self.source();
-        let mut seen = vec![false; self.adj.len()];
-        seen[s] = true;
-        let mut stack = vec![s];
-        while let Some(v) = stack.pop() {
-            self.touched += self.adj[v].len() as u64;
-            for &e in &self.adj[v] {
-                let u = self.to[e as usize] as usize;
-                if self.cap[e as usize] > 0 && !seen[u] {
-                    seen[u] = true;
-                    stack.push(u);
-                }
-            }
-        }
-        for (v, &reachable) in seen.iter().enumerate().take(self.n).skip(1) {
-            if reachable {
-                self.cached.push(VertexId::new(v));
-            }
-        }
+        Some(d)
     }
 
     /// Test hook: overrides the encoded gain of `v` directly (the
@@ -556,23 +786,14 @@ impl IncrementalClosure {
     #[cfg(test)]
     fn force_gain(&mut self, v: usize, g_new: i64) {
         assert!(self.built && !self.frozen[v]);
-        let g_old = self.gain[v];
-        self.total_positive += g_new.max(0) - g_old.max(0);
-        if g_old > 0 || g_new > 0 {
-            self.set_source_cap(v, g_new.max(0));
-        }
-        if g_old < 0 || g_new < 0 {
-            self.set_sink_cap(v, (-g_new).max(0));
-        }
-        self.gain[v] = g_new;
+        self.set_gain(v, g_new);
     }
 
     /// Test hook: re-optimizes after [`IncrementalClosure::force_gain`]
     /// and returns the canonical closure.
     #[cfg(test)]
     fn reoptimize(&mut self) -> Vec<VertexId> {
-        self.resume();
-        self.extract();
+        self.augment_to_max();
         self.cached.clone()
     }
 }
@@ -656,7 +877,7 @@ mod tests {
         engine.force_gain(1, 2);
         assert!(engine.reoptimize().is_empty());
         assert_eq!(engine.reoptimize(), fresh(&[0, 2, -2], &arcs, &[]));
-        // total_positive bookkeeping survives the empty round.
+        // The drained residual accepts new flow after the empty round.
         engine.force_gain(1, 4);
         assert_eq!(engine.reoptimize(), fresh(&[0, 4, -2], &arcs, &[]));
     }
@@ -671,6 +892,55 @@ mod tests {
             engine.force_gain(1, g);
             cur[1] = g;
             assert_eq!(engine.reoptimize(), fresh(&cur, &arcs, &[]), "gain {g}");
+        }
+    }
+
+    /// Random non-monotone drives (gain drops and sign flips through
+    /// the test hook, interleaved with new arcs) keep the warm engine
+    /// on the fresh engine's closure. These exercise orphan adoption
+    /// and release on residuals that earlier augmentations shaped.
+    #[test]
+    fn random_gain_and_arc_drives_match_fresh() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for _ in 0..200 {
+            let n = 3 + next(10) as usize;
+            let mut gains: Vec<i64> = (0..n).map(|_| next(41) as i64 - 20).collect();
+            gains[0] = 0;
+            let mut arcs = Vec::new();
+            for _ in 0..next(2 * n as u64) {
+                let (p, q) = (
+                    1 + next(n as u64 - 1) as usize,
+                    1 + next(n as u64 - 1) as usize,
+                );
+                if p != q && !arcs.contains(&(p, q)) {
+                    arcs.push((p, q));
+                }
+            }
+            let (mut engine, _) = warm(&gains, &arcs);
+            for _ in 0..12 {
+                let v = 1 + next(n as u64 - 1) as usize;
+                if next(3) == 0 {
+                    let q = 1 + next(n as u64 - 1) as usize;
+                    if v != q && !arcs.contains(&(v, q)) {
+                        arcs.push((v, q));
+                        engine.add_edge(v, q, INF);
+                    }
+                } else {
+                    gains[v] = next(41) as i64 - 20;
+                    engine.force_gain(v, gains[v]);
+                }
+                assert_eq!(
+                    engine.reoptimize(),
+                    fresh(&gains, &arcs, &[]),
+                    "{gains:?} {arcs:?}"
+                );
+            }
         }
     }
 

@@ -83,9 +83,10 @@ pub struct PerfCounters {
     /// Closure selections performed (either closure engine).
     pub closure_calls: u64,
     /// Arcs examined by the closure engine (network construction,
-    /// BFS/DFS phases, flow repair and cut extraction) — counted
-    /// identically by the from-scratch and warm-started engines so the
-    /// reuse ratio is directly comparable.
+    /// search-tree growth, augmentation and adoption or BFS/DFS phases,
+    /// flow repair and cut extraction) — one per arc examined in both
+    /// the from-scratch and warm-started engines, so the reuse ratio
+    /// is directly comparable.
     pub closure_arcs_touched: u64,
     /// Warm-engine selections that fell back to a fresh network build
     /// because the delta batch dirtied more vertices than its

@@ -241,6 +241,14 @@ mod tests {
         assert_eq!(init.r_min, 1, "minimum unit gate delay");
     }
 
+    /// The b19 twin at Table I's default scale: 16, times 4 for the
+    /// giant circuits.
+    fn b19_twin() -> netlist::Circuit {
+        use netlist::generator::{table1_twin, TABLE1_ROWS};
+        let row = TABLE1_ROWS.iter().find(|row| row.name == "b19").unwrap();
+        table1_twin(row, 16 * 4)
+    }
+
     /// Work counter for the FEAS certificate. The b19 twin at Table I's
     /// default scale takes the min-period fallback, and its searches
     /// probe many infeasible periods; without the certificate each of
@@ -248,10 +256,7 @@ mod tests {
     /// fails here, not only in a slow run.
     #[test]
     fn b19_twin_init_runs_few_feas_rounds() {
-        use netlist::generator::{table1_twin, TABLE1_ROWS};
-        let row = TABLE1_ROWS.iter().find(|row| row.name == "b19").unwrap();
-        // Table I's default scale: 16, times 4 for the giant circuits.
-        let circuit = table1_twin(row, 16 * 4);
+        let circuit = b19_twin();
         let g = RetimeGraph::from_circuit(&circuit, &DelayModel::default()).unwrap();
         let init = InitConfig::default().initialize(&g).unwrap();
         assert!(!init.used_setup_hold, "b19's twin takes the fallback");
@@ -261,6 +266,34 @@ mod tests {
             "{} FEAS rounds for |V| = {}",
             init.feas_rounds,
             g.num_vertices()
+        );
+    }
+
+    /// The warm closure engine's work on the b19 twin's MinObsWin solve
+    /// under Table I's simulation settings. Search-tree augmentation
+    /// touches 1.06M arcs over its 47 calls; Dinic phases, which sweep
+    /// the residual once per phase, touched 10.9M. A return to
+    /// whole-network sweeps fails here, not only in a slow run.
+    #[test]
+    fn b19_twin_solve_touches_few_closure_arcs() {
+        use crate::experiment::{self, Method, RunConfig};
+        use ser_engine::sim::SimConfig;
+        let circuit = b19_twin();
+        let config = RunConfig::default().with_sim(SimConfig {
+            num_vectors: 1024,
+            frames: 15,
+            warmup: 8,
+            seed: 0xC0FFEE,
+            threads: 1,
+        });
+        let prepared = experiment::prepare(&circuit, &config).unwrap();
+        let (solution, _) = experiment::solve(&prepared, &config, Method::MinObsWin, None).unwrap();
+        let perf = &solution.stats.perf;
+        assert!(
+            perf.closure_arcs_touched < 3_000_000,
+            "{} closure arcs over {} calls",
+            perf.closure_arcs_touched,
+            perf.closure_calls
         );
     }
 

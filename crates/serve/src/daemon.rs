@@ -192,6 +192,9 @@ struct State {
     admitting: usize,
     /// Workers take no queued job while set (see [`Daemon::pause`]).
     paused: bool,
+    /// Workers wait after marking a job `Parsing` while set (see
+    /// [`Daemon::hold_parsing`]).
+    hold_parsing: bool,
     draining: bool,
 }
 
@@ -260,6 +263,7 @@ impl Daemon {
                 jobs: HashMap::new(),
                 admitting: 0,
                 paused: false,
+                hold_parsing: false,
                 draining: false,
             }),
             cv: Condvar::new(),
@@ -456,6 +460,20 @@ impl Daemon {
         self.shared.cv.notify_all();
     }
 
+    /// Test hook: while `hold` is set, a worker that has marked its job
+    /// `Parsing` waits there, before any work on the job, until the
+    /// hold is released (or a drain begins). A test can then act on a
+    /// job that is provably running and cannot finish first.
+    #[doc(hidden)]
+    pub fn hold_parsing(&self, hold: bool) {
+        self.shared
+            .state
+            .lock()
+            .expect("daemon state poisoned")
+            .hold_parsing = hold;
+        self.shared.cv.notify_all();
+    }
+
     /// Stops admitting, lets every queued and running job reach a
     /// terminal state, joins the workers and emits [`Event::Drained`].
     /// Idempotent; concurrent callers all return once the drain is
@@ -465,6 +483,7 @@ impl Daemon {
             let mut st = self.shared.state.lock().expect("daemon state poisoned");
             st.draining = true;
             st.paused = false;
+            st.hold_parsing = false;
         }
         self.shared.cv.notify_all();
         let handles: Vec<_> = {
@@ -598,6 +617,12 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     // --- parse and levelize ------------------------------------------
     shared.set_state(id, JobState::Parsing);
     shared.emit(Event::Parsing { id: id.to_string() });
+    {
+        let mut st = shared.state.lock().expect("daemon state poisoned");
+        while st.hold_parsing {
+            st = shared.cv.wait(st).expect("daemon state poisoned");
+        }
+    }
     let circuit = match parse_job(&spec) {
         Ok(c) => c,
         Err(e) => {

@@ -378,6 +378,9 @@ fn cancel_running_job() {
     let mut spec = JobSpec::new("victim", &big, NetlistFormat::Bench);
     spec.vectors = 1024;
     spec.frames = 10;
+    // The worker holds the job once it is running, so it cannot finish
+    // before the cancel however fast the solver is.
+    daemon.hold_parsing(true);
     daemon.submit(spec).expect("job admitted");
 
     // Wait until it leaves the queue, then cancel.
@@ -386,7 +389,9 @@ fn cancel_running_job() {
         assert!(Instant::now() < deadline, "job never left the queue");
         std::thread::sleep(Duration::from_millis(10));
     }
+    assert_eq!(daemon.status("victim"), Some(JobState::Parsing));
     assert!(daemon.cancel("victim"));
+    daemon.hold_parsing(false);
     let state = wait_terminal(&daemon, "victim", Duration::from_secs(120));
     assert_eq!(state, JobState::Cancelled);
     assert_eq!(state.exit_code(), Some(4));
